@@ -8,9 +8,9 @@
 //! 1. **ingest throughput** — raw events/s through append + auto-seal as
 //!    a function of the seal threshold (which controls how many sealed
 //!    shards the log ends up in), with and without CPR;
-//! 2. **hunt-under-ingest latency** — snapshot + hunt cost at
-//!    checkpoints during one continuous ingest, vs. the number of sealed
-//!    shards at that moment (snapshot cost is bounded by the open
+//! 2. **hunt-under-ingest latency** — snapshot + hunt cost of a server
+//!    job at checkpoints during one continuous ingest, vs. the number of
+//!    sealed shards at that moment (snapshot cost is bounded by the open
 //!    window, so latency should track query cost, not stream length);
 //! 3. **follow-mode polling** — cost of a standing query's poll when new
 //!    data arrived vs. the free no-change fast path.
@@ -97,7 +97,9 @@ fn main() {
 
     // -- 2. hunt-under-ingest latency vs sealed shard count -------------
     let threshold = if smoke { 1_000 } else { 4_000 };
-    let service = IngestService::new(IngestConfig::with_policy(SealPolicy::events(threshold)));
+    let server = HuntServer::new(ServerConfig::with_ingest(IngestConfig::with_policy(
+        SealPolicy::events(threshold),
+    )));
     let checkpoints = if smoke { 4 } else { 8 };
     let chunks: Vec<_> = LogFeed::by_events(&scenario.raw, chunk)
         .map(|c| c.expect("well-formed log"))
@@ -106,11 +108,11 @@ fn main() {
     let mut rows = Vec::new();
     for group in chunks.chunks(per_checkpoint) {
         for part in group {
-            service.append(part);
+            server.append(part);
         }
-        let status = service.status();
+        let status = server.status();
         let t0 = Instant::now();
-        let result = service.hunt(threatraptor::FIG2_TBQL).unwrap();
+        let result = server.hunt(threatraptor::FIG2_TBQL).unwrap();
         let hunt = t0.elapsed();
         rows.push(vec![
             status.total_events.to_string(),
@@ -137,20 +139,22 @@ fn main() {
 
     // -- 3. follow-mode polling -----------------------------------------
     let service = IngestService::new(IngestConfig::with_policy(SealPolicy::events(threshold)));
-    let (mut follow, _) = service.hunt_follow(threatraptor::FIG2_TBQL).unwrap();
+    let (plan, _) = service.cache().plan(threatraptor::FIG2_TBQL).unwrap();
+    let mut follow = FollowHunt::new(plan, ExecMode::Scheduled, 1);
+    follow.poll(&service.snapshot()).unwrap();
     let mut data_polls = Vec::new();
     let mut fired_at_events = None;
     for part in &chunks {
         service.append(part);
         let t0 = Instant::now();
-        let delta = service.poll(&mut follow).unwrap();
+        let delta = follow.poll(&service.snapshot()).unwrap();
         data_polls.push(t0.elapsed());
         if !delta.is_empty() && fired_at_events.is_none() {
             fired_at_events = Some(service.status().reduction.before);
         }
     }
     let t0 = Instant::now();
-    let idle = service.poll(&mut follow).unwrap();
+    let idle = follow.poll(&service.snapshot()).unwrap();
     let idle_cost = t0.elapsed();
     assert!(idle.unchanged);
     let avg =

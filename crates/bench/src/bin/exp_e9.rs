@@ -1,22 +1,21 @@
 //! E9 — service-layer hunt throughput vs. shards and workers.
 //!
-//! The paper's system executes one hunt at a time; the service layer
-//! (PR 1) runs many concurrently over a sharded store with a shared
-//! compiled-plan cache. This experiment measures:
+//! The paper's system executes one hunt at a time; the hunt server runs
+//! many concurrently over a sealed store with a shared compiled-plan
+//! cache. This experiment measures:
 //!
 //! 1. **worker scaling** — throughput (hunts/s) of a fixed mixed batch as
-//!    the worker pool grows from 1 to the core count, over an 8-shard
-//!    store (the acceptance criterion: throughput must not degrade as
-//!    workers are added, and improves monotonically on multi-core hosts);
+//!    the server's worker pool grows from 1 to the core count
+//!    (throughput must not degrade as workers are added, and improves
+//!    monotonically on multi-core hosts);
 //! 2. **shard scaling** — single-hunt latency as the shard count grows
 //!    with all-core shard fan-out (per-pattern scatter-gather);
 //! 3. **plan-cache effect** — the same batch with a cold vs. warm cache.
 
-use std::sync::Arc;
 use std::time::Instant;
 use threatraptor::prelude::*;
+use threatraptor::JobReport;
 use threatraptor_bench::{all_cases, fmt};
-use threatraptor_service::{HuntScheduler, PlanCache};
 use threatraptor_storage::ShardedStore;
 
 /// A mixed job batch: every attack case, hunted both from the analyst
@@ -35,6 +34,12 @@ fn mixed_batch(len: usize) -> Vec<HuntJob> {
     jobs
 }
 
+/// Submits every job, then waits for each handle in submission order.
+fn run_batch(server: &HuntServer, jobs: Vec<HuntJob>) -> Vec<JobReport> {
+    let handles: Vec<_> = jobs.into_iter().map(|job| server.submit(job)).collect();
+    handles.iter().map(|handle| handle.wait()).collect()
+}
+
 fn main() {
     println!("== E9: concurrent hunt throughput over a sharded store ==\n");
     let cores = std::thread::available_parallelism()
@@ -47,13 +52,12 @@ fn main() {
         .target_events(60_000)
         .build();
 
-    // -- 1. worker scaling over an 8-shard store ------------------------
-    let store = Arc::new(ShardedStore::ingest(&scenario.log, true, 8));
+    // -- 1. worker scaling over the sealed store ------------------------
+    let raptor = ThreatRaptor::from_parsed(&scenario.log, true);
     let batch_len = 64;
     println!(
-        "store: {} events in {} shards | batch: {} mixed jobs (TBQL + OSCTI reports)\n",
-        store.event_count(),
-        store.shard_count(),
+        "store: {} events | batch: {} mixed jobs (TBQL + OSCTI reports)\n",
+        raptor.store().event_count(),
         batch_len
     );
 
@@ -70,13 +74,12 @@ fn main() {
     let mut rows = Vec::new();
     let mut base = None;
     for &workers in &worker_counts {
-        let cache = Arc::new(PlanCache::new());
-        let sched = HuntScheduler::new(Arc::clone(&store), Arc::clone(&cache)).workers(workers);
+        let server = raptor.service(ServerConfig::default().workers(workers));
         // Warm the caches once so every configuration measures execution,
         // not first-touch compilation.
-        sched.run(mixed_batch(batch_len));
+        run_batch(&server, mixed_batch(batch_len));
         let t0 = Instant::now();
-        let reports = sched.run(mixed_batch(batch_len));
+        let reports = run_batch(&server, mixed_batch(batch_len));
         let elapsed = t0.elapsed();
         assert!(reports.iter().all(|r| r.outcome.is_ok()));
         let hps = batch_len as f64 / elapsed.as_secs_f64();
@@ -117,15 +120,14 @@ fn main() {
     );
 
     // -- 3. plan-cache effect -------------------------------------------
-    let cache = Arc::new(PlanCache::new());
-    let sched = HuntScheduler::new(Arc::clone(&store), Arc::clone(&cache)).workers(cores);
+    let server = raptor.service(ServerConfig::default().workers(cores));
     let t0 = Instant::now();
-    sched.run(mixed_batch(batch_len));
+    run_batch(&server, mixed_batch(batch_len));
     let cold = t0.elapsed();
     let t0 = Instant::now();
-    sched.run(mixed_batch(batch_len));
+    run_batch(&server, mixed_batch(batch_len));
     let warm = t0.elapsed();
-    let stats = cache.stats();
+    let stats = server.cache_stats();
     println!(
         "plan cache: cold batch {} vs warm batch {} ({:.2}x) | {} plans, {} syntheses, {:.0}% hit rate",
         fmt::dur(cold),

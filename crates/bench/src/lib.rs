@@ -7,18 +7,19 @@
 //! full-length paper's evaluation suite reconstructed from its experiment
 //! design:
 //!
-//! | experiment | binary | criterion bench |
-//! |---|---|---|
-//! | E1 Fig. 2 case study          | `exp_e1` | — |
-//! | E2 extraction accuracy        | `exp_e2` | — |
-//! | E3 query-execution efficiency | `exp_e3` | `bench_execution` |
-//! | E4 scheduling scaling         | `exp_e4` | `bench_scaling` |
-//! | E5 query conciseness          | `exp_e5` | — |
-//! | E6 CPR data reduction         | `exp_e6` | `bench_cpr` |
-//! | E7 NLP pipeline throughput    | `exp_e7` | `bench_nlp` |
-//! | E8 synthesis correctness      | `exp_e8` | — |
-//! | E9 concurrent hunt throughput | `exp_e9` | `bench_service` |
-//! | E10 streaming ingest & hunt-under-ingest | `exp_e10` | — |
+//! | experiment | binary |
+//! |---|---|
+//! | E1 Fig. 2 case study          | `exp_e1` |
+//! | E2 extraction accuracy        | `exp_e2` |
+//! | E3 query-execution efficiency | `exp_e3` |
+//! | E4 scheduling scaling         | `exp_e4` |
+//! | E5 query conciseness          | `exp_e5` |
+//! | E6 CPR data reduction         | `exp_e6` |
+//! | E7 NLP pipeline throughput    | `exp_e7` |
+//! | E8 synthesis correctness      | `exp_e8` |
+//! | E9 concurrent hunt throughput | `exp_e9` |
+//! | E10 streaming ingest & hunt-under-ingest | `exp_e10` |
+//! | E11 live serving on the hunt server | `exp_e11` |
 //!
 //! Shared infrastructure: the annotated OSCTI [`corpus`], the per-attack
 //! [`cases`] (report text + ground truth + reference queries), the

@@ -272,7 +272,7 @@ fn model_dispatcher_exactly_once_fanout() {
             let mut hunt = FollowHunt::new(plan2, ExecMode::Scheduled, 1);
             let mut last = e0;
             loop {
-                let delta = svc2.poll(&mut hunt).expect("poll succeeds");
+                let delta = hunt.poll(&svc2.snapshot()).expect("poll succeeds");
                 tx.send(delta.new_matches).expect("subscriber is alive");
                 if last >= target {
                     return;

@@ -59,8 +59,8 @@ pub use threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT;
 pub use threatraptor_nlp::{ExtractionResult, ThreatBehaviorGraph, ThreatExtractor};
 pub use threatraptor_obs::{JsonValue, MetricsSnapshot, Registry, TraceSink};
 pub use threatraptor_service::{
-    FollowDelta, FollowEvent, FollowHunt, FollowSubscription, HuntJob, HuntServer, HuntService,
-    IngestConfig, IngestService, JobHandle, JobId, JobReport, ServerConfig, ServiceConfig,
+    FollowDelta, FollowEvent, FollowHunt, FollowSubscription, HuntJob, HuntServer, IngestConfig,
+    IngestService, JobHandle, JobId, JobReport, ServerConfig,
 };
 pub use threatraptor_storage::{AuditStore, SealPolicy, ShardedStore, StreamingStore};
 pub use threatraptor_synth::{synthesize, synthesize_with_plan, SynthesisError, SynthesisPlan};
@@ -76,8 +76,7 @@ pub mod prelude {
     pub use threatraptor_engine::{Engine, ExecMode, HuntResult, ShardedEngine};
     pub use threatraptor_nlp::{ThreatBehaviorGraph, ThreatExtractor};
     pub use threatraptor_service::{
-        FollowHunt, HuntJob, HuntServer, HuntService, IngestConfig, IngestService, ServerConfig,
-        ServiceConfig,
+        FollowHunt, HuntJob, HuntServer, IngestConfig, IngestService, ServerConfig,
     };
     pub use threatraptor_storage::{AuditStore, SealPolicy, ShardedStore, StreamingStore};
     pub use threatraptor_synth::{DefaultPlan, PathPatternPlan, TimeWindowPlan};
@@ -192,26 +191,42 @@ impl ThreatRaptor {
         self.hunt_report_with_plan(oscti, &synth::DefaultPlan)
     }
 
-    /// Opens the multi-hunt service layer over this system's (already
-    /// reduced) store: the log is re-partitioned into `config.shards`
-    /// time-window shards, and the returned [`HuntService`] runs batches
-    /// of concurrent hunts on a worker pool with a shared compiled-plan
-    /// cache.
+    /// Starts a [`HuntServer`] over this system's (already reduced)
+    /// store: the store is appended as one chunk and sealed, and the
+    /// server runs concurrent hunts on its worker pool with a shared
+    /// compiled-plan cache. Appends through the server extend the store
+    /// as with any live server.
+    ///
+    /// `config.ingest.cpr` is ignored on this path: the store's own
+    /// reduction setting is kept, so the server's `status().reduction`
+    /// reads before == after and the facade's reduction stays in
+    /// `self.store().reduction`.
     ///
     /// ```
     /// use threatraptor::prelude::*;
     ///
     /// let scenario = ScenarioBuilder::new().seed(42).target_events(3_000).build();
     /// let raptor = ThreatRaptor::from_parsed(&scenario.log, true);
-    /// let service = raptor.service(ServiceConfig::with_shards(4));
-    /// let reports = service.run(vec![
-    ///     HuntJob::report(threatraptor::FIG2_OSCTI_TEXT),
-    ///     HuntJob::tbql(threatraptor::FIG2_TBQL),
-    /// ]);
-    /// assert!(reports.iter().all(|r| !r.outcome.as_ref().unwrap().is_empty()));
+    /// let server = raptor.service(ServerConfig::default().workers(2));
+    /// let handles = [
+    ///     server.submit(HuntJob::report(threatraptor::FIG2_OSCTI_TEXT)),
+    ///     server.submit(HuntJob::tbql(threatraptor::FIG2_TBQL)),
+    /// ];
+    /// for handle in &handles {
+    ///     assert!(!handle.wait().outcome.unwrap().is_empty());
+    /// }
     /// ```
-    pub fn service(&self, config: ServiceConfig) -> HuntService {
-        HuntService::from_store(&self.store, config)
+    pub fn service(&self, config: ServerConfig) -> HuntServer {
+        let server = HuntServer::new(ServerConfig {
+            ingest: config.ingest.no_cpr(),
+            ..config
+        });
+        server.append(&LogChunk {
+            new_entities: self.store.entities.to_vec(),
+            events: self.store.events.clone(),
+        });
+        server.seal();
+        server
     }
 
     /// End-to-end hunt with a custom synthesis plan.
@@ -280,11 +295,18 @@ mod tests {
     #[test]
     fn service_facade_matches_direct_hunting() {
         let (raptor, sc) = raptor();
-        let service = raptor.service(ServiceConfig::with_shards(4).workers(2));
+        let server = raptor.service(ServerConfig::default().workers(2));
+        let snapshot = server.snapshot();
+        assert_eq!(snapshot.event_count(), raptor.store().event_count());
+        // The store arrives reduced; the server applies no second CPR pass.
+        let status = server.status();
+        assert_eq!(status.reduction.before, status.reduction.after);
         let direct = raptor.hunt(FIG2_TBQL).unwrap();
-        let served = service.hunt_tbql(FIG2_TBQL).unwrap();
+        let served = server.hunt(FIG2_TBQL).unwrap();
         assert_eq!(served.rows, direct.rows);
-        let (p, r) = served.precision_recall(service.store(), &sc.ground_truth("data_leakage"));
+        let truth = sc.ground_truth("data_leakage");
+        let (p, r) = served.precision_recall(&snapshot, &truth);
+        assert_eq!((p, r), direct.precision_recall(raptor.store(), &truth));
         assert_eq!((p, r), (1.0, 1.0));
     }
 

@@ -68,7 +68,7 @@ impl<'s> ShardedEngine<'s> {
     }
 
     /// Creates an engine with an explicit shard-scan thread count. Use 1
-    /// when an outer layer (e.g. the hunt scheduler's worker pool) already
+    /// when an outer layer (e.g. the hunt server's worker pool) already
     /// saturates the cores with concurrent queries.
     pub fn with_threads(store: &'s ShardedStore, threads: usize) -> ShardedEngine<'s> {
         ShardedEngine {

@@ -232,7 +232,7 @@ struct CacheObs {
     trace: TraceSink,
 }
 
-/// Thread-safe plan + synthesis cache, shared by all scheduler workers.
+/// Thread-safe plan + synthesis cache, shared by all server workers.
 /// Both maps are size-capped (LRU): see [`PlanCache::with_capacities`].
 #[derive(Debug)]
 pub struct PlanCache {

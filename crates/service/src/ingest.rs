@@ -5,9 +5,11 @@
 //! [`IngestService::append`]; analysts hunt *while ingestion is in
 //! flight* — every hunt runs against an immutable snapshot taken at hunt
 //! start, so appends never block on hunts and hunts never observe a
-//! half-applied batch. Standing queries attach with
-//! [`IngestService::hunt_follow`] and are re-evaluated against new data
-//! on each [`IngestService::poll`].
+//! half-applied batch. Hunts and standing queries do not run here: the
+//! [`crate::server::HuntServer`] that owns this service executes ad-hoc
+//! jobs against [`IngestService::snapshot`]s on its worker pool and
+//! polls registered [`crate::follow::FollowHunt`]s with one snapshot per
+//! epoch.
 //!
 //! Locking discipline: appends and seals take the write lock for the
 //! (incremental, open-window-bounded) reduction step only. Snapshots
@@ -34,11 +36,9 @@
 //! polls.
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::follow::{FollowDelta, FollowHunt};
-use crate::job::ServiceError;
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
-use threatraptor_engine::{ExecMode, HuntResult, ShardedEngine};
+use threatraptor_engine::ExecMode;
 use threatraptor_obs::{MetricsSnapshot, Registry, TraceSink};
 use threatraptor_storage::cpr::ReductionStats;
 use threatraptor_storage::{AppendOutcome, SealPolicy, ShardedStore, StreamingStore};
@@ -52,9 +52,10 @@ pub struct IngestConfig {
     pub cpr: bool,
     /// When to freeze the open window into an immutable shard.
     pub policy: SealPolicy,
-    /// Execution strategy for hunts.
+    /// Execution strategy for the server's jobs and standing queries.
     pub mode: ExecMode,
-    /// Per-hunt shard fan-out threads.
+    /// Per-hunt shard fan-out threads of the server's jobs and standing
+    /// queries.
     pub shard_threads: usize,
 }
 
@@ -102,20 +103,23 @@ pub struct IngestStatus {
     pub epoch: u64,
 }
 
-/// A live, continuously queryable hunt service: appendable store plus the
+/// A live, continuously queryable store: appendable stream plus the
 /// shared plan cache.
 ///
 /// ```
 /// use threatraptor_audit::LogFeed;
 /// use threatraptor_audit::sim::scenario::ScenarioBuilder;
+/// use threatraptor_engine::ShardedEngine;
 /// use threatraptor_service::{IngestConfig, IngestService};
 ///
 /// let scenario = ScenarioBuilder::new().seed(42).target_events(2_000).build();
 /// let service = IngestService::new(IngestConfig::default());
 /// for chunk in LogFeed::by_events(&scenario.raw, 500) {
 ///     service.append(&chunk.unwrap());
-///     // Hunts are allowed at any point mid-ingest.
-///     let _ = service.hunt(threatraptor_tbql::parser::FIG2_TBQL);
+///     // Snapshots (and hunts over them) are allowed at any point
+///     // mid-ingest.
+///     let snapshot = service.snapshot();
+///     let _ = ShardedEngine::new(&snapshot).hunt(threatraptor_tbql::parser::FIG2_TBQL);
 /// }
 /// assert_eq!(service.status().total_events, service.snapshot().event_count());
 /// ```
@@ -134,15 +138,12 @@ pub struct IngestService {
     gate: Mutex<()>,
     gate_cond: Condvar,
     /// This service's metric registry: the stream, the plan cache, and
-    /// every hunt/follow running through this service record here.
+    /// the owning server's jobs and standing queries record here.
     /// Per-instance (not the process-global registry) so co-hosted
     /// services — per-tenant deployments — keep separate telemetry.
     registry: Arc<Registry>,
     /// `serve_stage_ns{stage=ingest_append|seal|snapshot_build}`.
     serve_trace: TraceSink,
-    /// `hunt_stage_ns{stage=scan|propagate|join|project|...}` — shared
-    /// family with the cache's parse/analyze/compile/synthesize spans.
-    hunt_trace: TraceSink,
 }
 
 impl IngestService {
@@ -167,7 +168,6 @@ impl IngestService {
             gate: Mutex::new(()),
             gate_cond: Condvar::new(),
             serve_trace: TraceSink::new(Arc::clone(&registry), "serve_stage_ns"),
-            hunt_trace: TraceSink::new(Arc::clone(&registry), "hunt_stage_ns"),
             registry,
         }
     }
@@ -180,8 +180,8 @@ impl IngestService {
     }
 
     /// A point-in-time snapshot of every metric recorded by this
-    /// service: storage counters, cache counters, hunt/serve stage
-    /// timings, follow-hunt totals.
+    /// service: storage counters, cache counters, serve stage timings,
+    /// plus whatever the owning server records here.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -286,36 +286,6 @@ impl IngestService {
         self.gate_cond.notify_all();
     }
 
-    /// Hunts a TBQL query against a fresh snapshot, through the plan
-    /// cache.
-    pub fn hunt(&self, tbql: &str) -> Result<HuntResult, ServiceError> {
-        let (plan, _) = self.cache.plan(tbql).map_err(ServiceError::from)?;
-        let snapshot = self.snapshot();
-        let result = ShardedEngine::with_threads(&snapshot, self.config.shard_threads)
-            .execute(&plan.compiled, self.config.mode)
-            .map_err(ServiceError::from)?;
-        result.stats.record_stages(&self.hunt_trace);
-        Ok(result)
-    }
-
-    /// Opens a follow-mode hunt: the query is compiled once (through the
-    /// cache) and evaluated against everything ingested so far; each
-    /// subsequent [`IngestService::poll`] re-evaluates it against a fresh
-    /// snapshot and yields only the newly appeared matches.
-    pub fn hunt_follow(&self, tbql: &str) -> Result<(FollowHunt, FollowDelta), ServiceError> {
-        let (plan, _) = self.cache.plan(tbql).map_err(ServiceError::from)?;
-        let mut hunt = FollowHunt::new(plan, self.config.mode, self.config.shard_threads);
-        hunt.attach_metrics(&self.registry);
-        let delta = hunt.poll(&self.snapshot())?;
-        Ok((hunt, delta))
-    }
-
-    /// Polls a follow-mode hunt against the current stream state. Free
-    /// when nothing was appended since the last poll.
-    pub fn poll(&self, hunt: &mut FollowHunt) -> Result<FollowDelta, ServiceError> {
-        hunt.poll(&self.snapshot())
-    }
-
     /// Current stream state.
     pub fn status(&self) -> IngestStatus {
         let stream = self.stream.read().unwrap_or_else(PoisonError::into_inner);
@@ -349,8 +319,10 @@ impl IngestService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::follow::FollowHunt;
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
     use threatraptor_audit::LogFeed;
+    use threatraptor_engine::{HuntResult, ShardedEngine};
     use threatraptor_storage::{AuditStore, ShardedStore};
     use threatraptor_tbql::parser::FIG2_TBQL;
 
@@ -360,6 +332,13 @@ mod tests {
             .attacks(&[AttackKind::DataLeakage])
             .target_events(4_000)
             .build()
+    }
+
+    /// A hunt against a fresh snapshot, as the server's job workers run it.
+    fn hunt(service: &IngestService) -> HuntResult {
+        ShardedEngine::new(&service.snapshot())
+            .hunt(FIG2_TBQL)
+            .unwrap()
     }
 
     #[test]
@@ -374,7 +353,7 @@ mod tests {
         assert_eq!(snapshot.event_count(), batch.event_count());
         assert_eq!(snapshot.reduction(), batch.reduction);
 
-        let got = service.hunt(FIG2_TBQL).unwrap();
+        let got = hunt(&service);
         let want = threatraptor_engine::Engine::new(&batch)
             .hunt(FIG2_TBQL)
             .unwrap();
@@ -388,7 +367,7 @@ mod tests {
         let mut counts = Vec::new();
         for chunk in LogFeed::by_events(&sc.raw, 800) {
             service.append(&chunk.unwrap());
-            let r = service.hunt(FIG2_TBQL).unwrap();
+            let r = hunt(&service);
             counts.push(r.matches.len());
         }
         // The attack eventually appears and stays found.
@@ -418,21 +397,21 @@ mod tests {
     fn follow_hunt_fires_when_the_attack_streams_in() {
         let sc = scenario();
         let service = IngestService::new(IngestConfig::with_policy(SealPolicy::events(400)));
-        let (mut hunt, initial) = service.hunt_follow(FIG2_TBQL).unwrap();
+        let (plan, _) = service.cache().plan(FIG2_TBQL).unwrap();
+        let mut hunt = FollowHunt::new(plan, service.config().mode, 1);
+        let initial = hunt.poll(&service.snapshot()).unwrap();
         assert!(initial.is_empty(), "nothing ingested yet");
 
         let mut fired = false;
         for chunk in LogFeed::by_events(&sc.raw, 700) {
             service.append(&chunk.unwrap());
-            let delta = service.poll(&mut hunt).unwrap();
+            let delta = hunt.poll(&service.snapshot()).unwrap();
             fired |= !delta.is_empty();
         }
         assert!(fired, "the streamed attack must fire the standing query");
         // A poll with no new data is free.
-        let idle = service.poll(&mut hunt).unwrap();
+        let idle = hunt.poll(&service.snapshot()).unwrap();
         assert!(idle.unchanged);
-        // And the plan was compiled exactly once.
-        assert_eq!(service.cache_stats().misses, 1);
     }
 
     #[test]
@@ -498,7 +477,7 @@ mod tests {
             service.append(chunk);
         }
         assert!(service.status().total_events > before);
-        assert!(!service.hunt(FIG2_TBQL).unwrap().is_empty());
+        assert!(!hunt(&service).is_empty());
     }
 
     #[test]
@@ -518,13 +497,13 @@ mod tests {
             for _ in 0..8 {
                 // Hunts interleave with appends; each must see a
                 // consistent snapshot and never error.
-                let r = svc.hunt(FIG2_TBQL).unwrap();
+                let r = hunt(svc);
                 let snap = svc.snapshot();
                 assert!(r.matches.len() <= snap.event_count().max(1));
             }
             writer.join().unwrap();
         });
         // After the dust settles, the full attack is found.
-        assert!(!service.hunt(FIG2_TBQL).unwrap().is_empty());
+        assert!(!hunt(&service).is_empty());
     }
 }

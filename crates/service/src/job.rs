@@ -6,7 +6,7 @@ use threatraptor_engine::{EngineError, HuntResult};
 use threatraptor_synth::SynthesisError;
 use threatraptor_tbql::lint::Diagnostic;
 
-/// One unit of work for the scheduler: hunt either a ready-made TBQL
+/// One unit of work for the hunt server: hunt either a ready-made TBQL
 /// query or a raw OSCTI report (which is first run through extraction and
 /// query synthesis, exactly like [`ThreatRaptor::hunt_report`]).
 ///
@@ -104,13 +104,12 @@ impl From<EngineError> for ServiceError {
     }
 }
 
-/// The outcome of one scheduled job. Batch reports are returned in
-/// submission order regardless of which worker finished first; `Clone`
-/// so a completion handle ([`crate::server::JobHandle`]) can hand out
-/// the result while the server retains nothing.
+/// The outcome of one submitted job; `Clone` so a completion handle
+/// ([`crate::server::JobHandle`]) can hand out the result while the
+/// server retains nothing.
 #[derive(Debug, Clone)]
 pub struct JobReport {
-    /// Submission index of the job in the batch.
+    /// The submitting server's job id (`JobId.0`).
     pub index: usize,
     /// The job as submitted.
     pub job: HuntJob,

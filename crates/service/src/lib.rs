@@ -17,22 +17,19 @@
 //! * [`pool::WorkerPool`] — detached worker threads draining one bounded
 //!   task queue: backpressure on overflow, panic isolation, graceful
 //!   drain-then-join shutdown;
-//! * [`scheduler::HuntScheduler`] — batch hunts against a
-//!   [`ShardedStore`] on a persistent worker pool, results merged
-//!   deterministically (submission order);
-//! * [`service::HuntService`] — the owning façade: store + cache +
-//!   scheduler, constructed from a parsed log or an existing store;
-//! * [`ingest::IngestService`] — the *live* variant: a thread-safe
-//!   front-end over a [`StreamingStore`] accepting appended log chunks
-//!   while hunts run against immutable snapshots, with epoch
-//!   notification hooks for event-driven consumers;
+//! * [`ingest::IngestService`] — a thread-safe front-end over a
+//!   [`StreamingStore`] accepting appended log chunks while hunts run
+//!   against immutable snapshots, with epoch notification hooks for
+//!   event-driven consumers;
 //! * [`follow::FollowHunt`] — standing queries over a growing store:
 //!   poll with successive snapshots, get only the newly appeared matches
 //!   (exactly-once per match identity) merged into a running result;
-//! * [`server::HuntServer`] — the long-lived serving loop over all of
-//!   the above: a persistent job queue with completion handles, and
-//!   standing queries driven by ingest events through per-subscription
-//!   channels instead of explicit polls;
+//! * [`server::HuntServer`] — the one serving type, over all of the
+//!   above: a persistent job queue with completion handles, and standing
+//!   queries driven by ingest events through per-subscription channels
+//!   instead of explicit polls. A pre-built store is served by appending
+//!   it as one chunk and sealing it (see `ThreatRaptor::service` in the
+//!   `threatraptor` crate);
 //! * [`profile::HuntProfile`] — per-job execution profiles (trace tree
 //!   plus headline timings), retained worst-N by latency in the
 //!   server's slow-hunt log.
@@ -43,7 +40,6 @@
 //! the data-query level; joins stay global).
 //!
 //! [`AuditStore`]: threatraptor_storage::AuditStore
-//! [`ShardedStore`]: threatraptor_storage::ShardedStore
 //! [`StreamingStore`]: threatraptor_storage::StreamingStore
 
 pub mod cache;
@@ -52,9 +48,7 @@ pub mod ingest;
 pub mod job;
 pub mod pool;
 pub mod profile;
-pub mod scheduler;
 pub mod server;
-pub mod service;
 
 pub use cache::{normalize_tbql, CacheStats, CachedPlan, PlanCache, ReportKey};
 pub use follow::{FollowDelta, FollowHunt};
@@ -62,6 +56,4 @@ pub use ingest::{IngestConfig, IngestService, IngestStatus};
 pub use job::{HuntJob, JobReport, ServiceError};
 pub use pool::{SubmitError, WorkerPool};
 pub use profile::HuntProfile;
-pub use scheduler::HuntScheduler;
 pub use server::{FollowEvent, FollowSubscription, HuntServer, JobHandle, JobId, ServerConfig};
-pub use service::{HuntService, ServiceConfig};

@@ -28,18 +28,19 @@
 //! dispatcher and every worker, and disconnects subscription channels so
 //! consumers' receive loops end cleanly.
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, PlanCache};
 use crate::follow::{FollowDelta, FollowHunt};
 use crate::ingest::{IngestConfig, IngestService, IngestStatus};
 use crate::job::{HuntJob, JobReport, ServiceError};
 use crate::pool::WorkerPool;
 use crate::profile::{HuntProfile, SlowHuntLog};
-use crate::scheduler::execute_job;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
-use threatraptor_engine::{HuntResult, HuntStats};
+use threatraptor_engine::{ExecMode, HuntResult, HuntStats, ShardedEngine};
 use threatraptor_obs::{
     Counter, Histogram, MetricsSnapshot, Registry, TraceId, TraceSink, TraceTree, ROOT_SPAN,
 };
@@ -374,6 +375,71 @@ fn outcome_status(outcome: &Result<HuntResult, ServiceError>) -> &'static str {
         Err(ServiceError::Shutdown) | Err(ServiceError::Infeasible(_)) => "rejected",
         Err(_) => "error",
     }
+}
+
+/// Renders a caught panic payload as text for [`ServiceError::Worker`].
+fn panic_text(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic payload".into())
+}
+
+/// Resolves and executes one job against one store snapshot, catching
+/// panics into [`ServiceError::Worker`]. Run by the job queue's workers.
+fn execute_job(
+    store: &ShardedStore,
+    cache: &PlanCache,
+    shard_threads: usize,
+    mode: ExecMode,
+    index: usize,
+    job: &HuntJob,
+) -> JobReport {
+    let t0 = Instant::now();
+    let (tbql, cache_hit, outcome) = catch_unwind(AssertUnwindSafe(|| {
+        resolve_and_execute(store, cache, shard_threads, mode, job)
+    }))
+    .unwrap_or_else(|payload| {
+        (
+            None,
+            false,
+            Err(ServiceError::Worker(panic_text(&*payload))),
+        )
+    });
+    JobReport {
+        index,
+        job: job.clone(),
+        tbql,
+        outcome,
+        cache_hit,
+        elapsed: t0.elapsed(),
+    }
+}
+
+fn resolve_and_execute(
+    store: &ShardedStore,
+    cache: &PlanCache,
+    shard_threads: usize,
+    mode: ExecMode,
+    job: &HuntJob,
+) -> (Option<String>, bool, Result<HuntResult, ServiceError>) {
+    let tbql_src = match job {
+        HuntJob::Tbql(src) => src.clone(),
+        HuntJob::Report(text) => match cache.synthesize_report(text) {
+            Ok(tbql) => tbql,
+            Err(e) => return (None, false, Err(ServiceError::Synthesis(e))),
+        },
+    };
+    let (plan, cache_hit) = match cache.plan(&tbql_src) {
+        Ok(v) => v,
+        Err(e) => return (Some(tbql_src), false, Err(ServiceError::from(e))),
+    };
+    let engine = ShardedEngine::with_threads(store, shard_threads);
+    let outcome = engine
+        .execute(&plan.compiled, mode)
+        .map_err(ServiceError::from);
+    (Some(plan.tbql.clone()), cache_hit, outcome)
 }
 
 /// Lays per-stage child spans under the exec span of a job trace:
@@ -1012,6 +1078,94 @@ mod tests {
             "jobs and standing queries must share one compiled plan"
         );
         server.shutdown();
+    }
+
+    /// A server with the whole scenario ingested.
+    fn loaded_server() -> HuntServer {
+        let server = server();
+        for chunk in LogFeed::by_events(&scenario().raw, 1_000) {
+            server.append(&chunk.unwrap());
+        }
+        server
+    }
+
+    #[test]
+    fn end_to_end_tbql_and_report_hunts() {
+        let server = loaded_server();
+        let direct = server.hunt(FIG2_TBQL).unwrap();
+        assert!(!direct.is_empty());
+        let via_report = server
+            .submit(HuntJob::report(threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT))
+            .wait()
+            .outcome
+            .unwrap();
+        assert_eq!(direct.rows, via_report.rows);
+    }
+
+    #[test]
+    fn report_jobs_synthesize_then_hunt() {
+        let server = loaded_server();
+        let ok = server
+            .submit(HuntJob::report(threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT))
+            .wait();
+        assert!(ok.tbql.as_deref().unwrap().contains("%/bin/tar%"));
+        assert!(!ok.outcome.as_ref().unwrap().is_empty());
+        let bad = server
+            .submit(HuntJob::report("Nothing interesting happened today."))
+            .wait();
+        assert!(matches!(bad.outcome, Err(ServiceError::Synthesis(_))));
+        assert!(bad.tbql.is_none());
+    }
+
+    #[test]
+    fn bad_tbql_surfaces_engine_error() {
+        let server = loaded_server();
+        let err = server.hunt("totally broken").unwrap_err();
+        assert!(matches!(err, ServiceError::Engine(_)));
+    }
+
+    /// Non-ASCII TBQL yields a typed engine error, never a lexer panic
+    /// caught as `ServiceError::Worker`.
+    #[test]
+    fn non_ascii_tbql_is_an_engine_error() {
+        let server = loaded_server();
+        for q in [
+            "proc ép read file f return p",
+            "proc p read file f return é",
+        ] {
+            let report = server.submit(HuntJob::tbql(q)).wait();
+            assert!(
+                matches!(report.outcome, Err(ServiceError::Engine(_))),
+                "{q}: {:?}",
+                report.outcome
+            );
+        }
+    }
+
+    #[test]
+    fn cache_persists_across_jobs() {
+        let server = loaded_server();
+        server.hunt(FIG2_TBQL).unwrap();
+        server.hunt(FIG2_TBQL).unwrap();
+        let stats = server.cache_stats();
+        assert_eq!(stats.misses, 1, "the second job must reuse the plan");
+        assert_eq!(stats.hits, 1);
+    }
+
+    #[test]
+    fn follow_seeds_from_the_current_store() {
+        let server = loaded_server();
+        server.seal();
+        let (alerts, seeded) = server.follow(FIG2_TBQL).unwrap();
+        assert!(!seeded.is_empty());
+        let direct = server.hunt(FIG2_TBQL).unwrap();
+        assert_eq!(seeded.new_matches, direct.matches.len());
+        let running = server.follow_result(alerts.id()).unwrap();
+        assert_eq!(running.rows, direct.rows);
+        // Nothing is appended after registration: seeded matches are not
+        // re-delivered on the channel.
+        assert!(server.wait_caught_up(Duration::from_secs(60)));
+        assert!(matches!(alerts.try_recv(), Err(TryRecvError::Empty)));
     }
 
     #[test]

@@ -91,10 +91,11 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, TbqlError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // `i` always sits on a char boundary: every arm advances by whole
+    // chars (ASCII bytes, or `len_utf8` of a decoded char).
+    while let Some(c) = src[i..].chars().next() {
         if c.is_whitespace() {
-            i += 1;
+            i += c.len_utf8();
             continue;
         }
         if c == '/' && bytes.get(i + 1) == Some(&b'/') {
@@ -242,19 +243,15 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, TbqlError> {
                 Tok::Int(v)
             }
             c if c.is_alphabetic() || c == '_' => {
-                while i < bytes.len() {
-                    let ch = bytes[i] as char;
-                    if ch.is_alphanumeric() || ch == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
+                i = src[start..]
+                    .char_indices()
+                    .find(|&(_, ch)| !(ch.is_alphanumeric() || ch == '_'))
+                    .map_or(src.len(), |(offset, _)| start + offset);
                 Tok::Ident(src[start..i].to_string())
             }
             other => {
                 return Err(TbqlError::new(
-                    Span::new(i, i + 1),
+                    Span::new(i, i + other.len_utf8()),
                     format!("unexpected character `{other}`"),
                 ))
             }
@@ -377,6 +374,24 @@ mod tests {
         assert!(lex("@").is_err());
         assert!(lex(r#""bad \q escape""#).is_err());
         assert!(lex("99999999999999999999").is_err());
+        // Non-ASCII input is decoded, never sliced mid-char.
+        let err = lex("a → b").unwrap_err();
+        assert_eq!(err.span, Span::new(2, 5));
+        assert!(err.message.contains('→'), "{}", err.message);
+        assert!(lex("a \u{d7} b").is_err());
+        assert_eq!(
+            toks("proc ép read file f return é"),
+            vec![
+                Tok::Ident("proc".into()),
+                Tok::Ident("ép".into()),
+                Tok::Ident("read".into()),
+                Tok::Ident("file".into()),
+                Tok::Ident("f".into()),
+                Tok::Ident("return".into()),
+                Tok::Ident("é".into()),
+                Tok::Eof,
+            ]
+        );
     }
 
     #[test]

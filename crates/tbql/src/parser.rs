@@ -536,5 +536,14 @@ mod tests {
         assert!(err.span.start > 0);
         let rendered = err.render("proc p levitate file f return p");
         assert!(rendered.contains("^"));
+        // Non-ASCII identifiers lex whole; a stray non-ASCII symbol is a
+        // spanned error whose rendering slices on char boundaries.
+        assert!(parse_query("proc ép read file f return ép").is_ok());
+        assert!(parse_query("proc ép read file f return p").is_ok());
+        assert!(parse_query("proc p read file f return é").is_ok());
+        let src = "proc p read file f return p → f";
+        let err = parse_query(src).unwrap_err();
+        assert!(err.message.contains("unexpected character `→`"));
+        assert!(err.render(src).contains("^^^"));
     }
 }

@@ -1,4 +1,4 @@
-//! Concurrent hunting with the service layer: one sharded store, many
+//! Concurrent hunting with the hunt server: one sealed store, many
 //! simultaneous hunts with mixed intelligence sources.
 //!
 //! Run with: `cargo run --release --example concurrent_hunts`
@@ -22,12 +22,12 @@ fn main() {
         format_args!("{:.1}", raptor.store().reduction.factor()),
     );
 
-    // Open the service layer: 8 time-window shards, a worker per core.
-    let service = raptor.service(ServiceConfig::with_shards(8));
+    // Start a server over the store: a worker per core.
+    let server = raptor.service(ServerConfig::default());
     println!(
-        "service: {} shards, {} workers\n",
-        service.store().shard_count(),
-        service.config().workers,
+        "server: {} sealed shards, {} workers\n",
+        server.status().sealed_shards,
+        server.config().workers,
     );
 
     // A mixed batch: hunt the data-leakage case from its raw OSCTI report
@@ -41,7 +41,8 @@ fn main() {
         jobs.push(HuntJob::tbql(cases[1].reference_tbql)); // password crack (TBQL)
     }
 
-    let reports = service.run(jobs);
+    let handles: Vec<_> = jobs.into_iter().map(|job| server.submit(job)).collect();
+    let reports: Vec<_> = handles.iter().map(|handle| handle.wait()).collect();
     for report in &reports {
         match &report.outcome {
             Ok(result) => println!(
@@ -56,7 +57,7 @@ fn main() {
         }
     }
 
-    let stats = service.cache_stats();
+    let stats = server.cache_stats();
     println!(
         "\nplan cache: {} plans, {} syntheses, {:.0}% hit rate",
         stats.plans,

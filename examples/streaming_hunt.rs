@@ -5,9 +5,9 @@
 //! of ingesting the finished log and hunting afterwards, this example
 //! replays the raw log as a timed stream of chunks into an
 //! `IngestService` — appendable open window, incremental CPR, automatic
-//! sealing — with a follow-mode hunt attached. The standing query fires
-//! the moment the attack's behavior pattern is fully present, long
-//! before the stream ends.
+//! sealing — and polls a follow-mode hunt with a snapshot after each
+//! chunk. The standing query fires the moment the attack's behavior
+//! pattern is fully present, long before the stream ends.
 //!
 //! Run with: `cargo run --release --example streaming_hunt`
 
@@ -28,18 +28,22 @@ fn main() {
     // A live store: seal a shard every 2 000 open events, CPR on.
     let service = IngestService::new(IngestConfig::with_policy(SealPolicy::events(2_000)));
 
-    // Attach the standing query (the paper's Fig. 2 hunt). It compiles
-    // once; every poll afterwards re-evaluates the cached plan and
-    // reports only newly appeared matches.
-    let (mut hunt, _) = service
-        .hunt_follow(threatraptor::FIG2_TBQL)
+    // The standing query (the paper's Fig. 2 hunt). It compiles once;
+    // every poll afterwards re-evaluates the cached plan and reports
+    // only newly appeared matches.
+    let (plan, _) = service
+        .cache()
+        .plan(threatraptor::FIG2_TBQL)
         .expect("valid TBQL");
+    let mut hunt = FollowHunt::new(plan, ExecMode::Scheduled, 1);
 
     // Replay the raw log in ~1 500-event chunks, polling after each.
     for (i, chunk) in LogFeed::by_events(&scenario.raw, 1_500).enumerate() {
         let chunk = chunk.expect("well-formed log");
         let outcome = service.append(&chunk);
-        let delta = service.poll(&mut hunt).expect("standing query executes");
+        let delta = hunt
+            .poll(&service.snapshot())
+            .expect("standing query executes");
         let status = service.status();
         print!(
             "chunk {i:>2}: +{:>5} events  [{} sealed shards | {:>5} open | {:.2}x reduced]",

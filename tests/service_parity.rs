@@ -1,11 +1,12 @@
 //! Service-layer integration tests: sharded/single execution parity over
-//! randomized scenarios and queries, plus concurrent-hunt smoke tests.
+//! randomized scenarios and queries, facade-server parity, plus
+//! concurrent-hunt smoke tests.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use threatraptor::prelude::*;
 use threatraptor_bench::all_cases;
-use threatraptor_service::{HuntJob, PlanCache, ServiceError};
+use threatraptor_service::{HuntJob, ServiceError};
 use threatraptor_storage::{AuditStore, ShardedStore};
 
 /// Order-normalized view of a hunt result: sorted projected rows plus the
@@ -80,7 +81,37 @@ fn fig2_parity_all_shard_counts() {
     }
 }
 
-/// Concurrency smoke test: ≥8 simultaneous hunts through one service,
+/// The facade's server agrees with the facade's direct hunts: same
+/// stored events, and for every reference case (FIG2 included) the same
+/// rows and the same precision/recall.
+#[test]
+fn service_facade_matches_direct_hunting_for_every_case() {
+    for seed in [3, 7, 42] {
+        let sc = ScenarioBuilder::new()
+            .seed(seed)
+            .attacks(&AttackKind::ALL)
+            .target_events(6_000)
+            .build();
+        let raptor = ThreatRaptor::from_parsed(&sc.log, true);
+        let server = raptor.service(ServerConfig::default().workers(2));
+        let snapshot = server.snapshot();
+        assert_eq!(snapshot.event_count(), raptor.store().event_count());
+        for case in all_cases() {
+            let truth = sc.ground_truth(case.kind.case_name());
+            let direct = raptor.hunt(case.reference_tbql).unwrap();
+            let served = server.hunt(case.reference_tbql).unwrap();
+            assert_eq!(served.rows, direct.rows, "{} (seed {seed})", case.name);
+            assert_eq!(
+                served.precision_recall(&snapshot, &truth),
+                direct.precision_recall(raptor.store(), &truth),
+                "{} (seed {seed})",
+                case.name
+            );
+        }
+    }
+}
+
+/// Concurrency smoke test: ≥8 simultaneous hunts through one server,
 /// every result identical to the sequential reference.
 #[test]
 fn eight_concurrent_hunts_agree_with_sequential() {
@@ -90,20 +121,18 @@ fn eight_concurrent_hunts_agree_with_sequential() {
         .target_events(4_000)
         .build();
     let raptor = ThreatRaptor::from_parsed(&sc.log, true);
-    let service = raptor.service(ServiceConfig::with_shards(8).workers(8));
+    let server = raptor.service(ServerConfig::default().workers(8));
 
     let cases = all_cases();
-    let jobs: Vec<HuntJob> = (0..16)
-        .map(|i| HuntJob::tbql(cases[i % 2].reference_tbql))
+    let handles: Vec<_> = (0..16)
+        .map(|i| server.submit(HuntJob::tbql(cases[i % 2].reference_tbql)))
         .collect();
-    let reports = service.run(jobs);
-    assert_eq!(reports.len(), 16);
 
     let reference: Vec<_> = (0..2)
         .map(|i| raptor.hunt(cases[i].reference_tbql).unwrap())
         .collect();
-    for (i, report) in reports.iter().enumerate() {
-        assert_eq!(report.index, i);
+    for (i, handle) in handles.iter().enumerate() {
+        let report = handle.wait();
         let result = report.outcome.as_ref().expect("hunt succeeds");
         assert_eq!(result.rows, reference[i % 2].rows, "job {i}");
         assert!(!result.is_empty());
@@ -111,14 +140,14 @@ fn eight_concurrent_hunts_agree_with_sequential() {
     // 16 jobs, 2 distinct plans: the cache must have absorbed the rest.
     // (Concurrent first touches of the same plan may each count a miss,
     // so bound the hits from below rather than exactly.)
-    let stats = service.cache_stats();
+    let stats = server.cache_stats();
     assert_eq!(stats.plans, 2);
     assert_eq!(stats.hits + stats.misses, 16);
     assert!(stats.hits >= 16 - 8, "cache absorbed too little: {stats:?}");
 }
 
-/// Raw threads hammering one service concurrently (beyond the scheduler's
-/// own pool): the service must be freely shareable.
+/// Raw threads hammering one server concurrently (beyond its own
+/// pool): the server must be freely shareable.
 #[test]
 fn service_is_shareable_across_threads() {
     let sc = ScenarioBuilder::new()
@@ -127,34 +156,38 @@ fn service_is_shareable_across_threads() {
         .target_events(2_000)
         .build();
     let raptor = ThreatRaptor::from_parsed(&sc.log, true);
-    let service = raptor.service(ServiceConfig::with_shards(4).workers(2));
-    let reference = service.hunt_tbql(threatraptor::FIG2_TBQL).unwrap();
+    let server = raptor.service(ServerConfig::default().workers(2));
+    let reference = server.hunt(threatraptor::FIG2_TBQL).unwrap();
 
     std::thread::scope(|scope| {
         for _ in 0..8 {
             scope.spawn(|| {
-                let r = service.hunt_tbql(threatraptor::FIG2_TBQL).unwrap();
+                let r = server.hunt(threatraptor::FIG2_TBQL).unwrap();
                 assert_eq!(r.rows, reference.rows);
             });
         }
     });
 }
 
-/// Mixed batches keep error isolation: one failing job must not poison
-/// its neighbors.
+/// Mixed submissions keep error isolation: one failing job must not
+/// poison its neighbors.
 #[test]
 fn failing_jobs_are_isolated() {
     let sc = ScenarioBuilder::new().seed(42).target_events(2_000).build();
     let raptor = ThreatRaptor::from_parsed(&sc.log, true);
     // One worker: with a parallel pool, jobs 0 and 3 may both miss the
     // cache concurrently, making the final cache_hit assertion racy.
-    let service = raptor.service(ServiceConfig::with_shards(4).workers(1));
-    let reports = service.run(vec![
+    let server = raptor.service(ServerConfig::default().workers(1));
+    let handles: Vec<_> = [
         HuntJob::tbql(threatraptor::FIG2_TBQL),
         HuntJob::tbql("syntactically broken"),
         HuntJob::report("Nothing interesting happened today."),
         HuntJob::tbql(threatraptor::FIG2_TBQL),
-    ]);
+    ]
+    .into_iter()
+    .map(|job| server.submit(job))
+    .collect();
+    let reports: Vec<_> = handles.iter().map(|handle| handle.wait()).collect();
     assert!(reports[0].outcome.is_ok());
     assert!(matches!(reports[1].outcome, Err(ServiceError::Engine(_))));
     assert!(matches!(
@@ -170,18 +203,17 @@ fn failing_jobs_are_isolated() {
 #[test]
 fn plan_cache_normalization_preserves_results() {
     let sc = ScenarioBuilder::new().seed(42).target_events(2_000).build();
-    let sharded = ShardedStore::ingest(&sc.log, true, 4);
-    let cache = std::sync::Arc::new(PlanCache::new());
-    let sched = threatraptor_service::HuntScheduler::new(
-        std::sync::Arc::new(sharded),
-        std::sync::Arc::clone(&cache),
-    )
-    .workers(2);
+    let raptor = ThreatRaptor::from_parsed(&sc.log, true);
+    let server = raptor.service(ServerConfig::default().workers(2));
 
     let original = threatraptor::FIG2_TBQL;
     let reformatted = original.split_whitespace().collect::<Vec<_>>().join("  ");
-    let a = sched.hunt(original).unwrap();
-    let b = sched.hunt(&reformatted).unwrap();
+    let a = server.hunt(original).unwrap();
+    let b = server.hunt(&reformatted).unwrap();
     assert_eq!(a.rows, b.rows);
-    assert_eq!(cache.stats().plans, 1, "one plan serves both spellings");
+    assert_eq!(
+        server.cache_stats().plans,
+        1,
+        "one plan serves both spellings"
+    );
 }
