@@ -10,8 +10,8 @@
 //! [`threatraptor_service::HuntServer::metrics`] serves — so the bench
 //! numbers and the production metrics can never drift apart.
 //!
-//! The suite is the cross product of [`EngineKind`] (single-store,
-//! sharded scatter-gather, streaming ingest, full event-driven server)
+//! The suite is the cross product of [`EngineKind`] (one shard, four
+//! shards, streaming ingest, full event-driven server)
 //! and a small set of [`Workload`]s. Results serialize to a
 //! machine-readable JSON document (`schema: threatraptor-bench/v1`)
 //! checked into the repo as `BENCH_<pr>.json`; [`diff`] renders the
@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use threatraptor::{Engine, EngineError, ExecMode, HuntResult, ShardedEngine};
+use threatraptor::{EngineError, ExecMode, HuntResult, ShardedEngine};
 use threatraptor_audit::parser::ParsedLog;
 use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
 use threatraptor_audit::LogFeed;
@@ -33,7 +33,7 @@ use threatraptor_obs::{
 use threatraptor_service::{
     FollowHunt, HuntServer, IngestConfig, PlanCache, ServerConfig, ServiceError,
 };
-use threatraptor_storage::{AuditStore, SealPolicy, ShardedStore, StreamingStore};
+use threatraptor_storage::{SealPolicy, ShardedStore, StreamingStore};
 
 /// The current record's schema identifier.
 pub const SCHEMA: &str = "threatraptor-bench/v1";
@@ -43,9 +43,9 @@ pub const PR: u64 = 9;
 /// Which execution stack a case drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// One [`AuditStore`], the base [`Engine`].
+    /// A one-shard [`ShardedStore`] under the [`ShardedEngine`].
     Single,
-    /// A time-window [`ShardedStore`] under the scatter-gather
+    /// A four-shard time-window [`ShardedStore`] under the
     /// [`ShardedEngine`].
     Sharded,
     /// A [`StreamingStore`] fed chunk-by-chunk, hunted via snapshots.
@@ -333,41 +333,19 @@ where
     }
 }
 
-fn run_single(w: &Workload, log: &ParsedLog) -> CaseResult {
+/// The batch cases: one globally reduced log over `shards` time-window
+/// shards, hunted by the scatter-gather executor.
+fn run_batch(kind: EngineKind, shards: usize, w: &Workload, log: &ParsedLog) -> CaseResult {
     let registry = Arc::new(Registry::new());
-    let store = AuditStore::ingest(log, true);
-    let engine = Engine::new(&store);
-    drive_hunts(&registry, EngineKind::Single, w, |q| {
-        engine.hunt(q).expect("valid TBQL")
-    });
-    drive_rejections(&registry, EngineKind::Single, w, |q| {
-        matches!(engine.hunt(q), Err(EngineError::Infeasible(_)))
-    });
-    let labels = case_labels(EngineKind::Single, w);
-    extract(
-        EngineKind::Single,
-        w,
-        log.events.len(),
-        &registry.snapshot(),
-        "bench_hunt_ns",
-        &labels,
-        &[],
-    )
-}
-
-fn run_sharded(w: &Workload, log: &ParsedLog) -> CaseResult {
-    let registry = Arc::new(Registry::new());
-    let store = ShardedStore::ingest(log, true, 4);
+    let store = ShardedStore::ingest(log, true, shards);
     let engine = ShardedEngine::new(&store).with_registry(&registry);
-    drive_hunts(&registry, EngineKind::Sharded, w, |q| {
-        engine.hunt(q).expect("valid TBQL")
-    });
-    drive_rejections(&registry, EngineKind::Sharded, w, |q| {
+    drive_hunts(&registry, kind, w, |q| engine.hunt(q).expect("valid TBQL"));
+    drive_rejections(&registry, kind, w, |q| {
         matches!(engine.hunt(q), Err(EngineError::Infeasible(_)))
     });
-    let labels = case_labels(EngineKind::Sharded, w);
+    let labels = case_labels(kind, w);
     extract(
-        EngineKind::Sharded,
+        kind,
         w,
         log.events.len(),
         &registry.snapshot(),
@@ -622,8 +600,8 @@ fn run_standing(w: &Workload, force_full: bool) -> CaseResult {
 pub fn run_case(engine: EngineKind, w: &Workload) -> CaseResult {
     let sc = scenario(w);
     match engine {
-        EngineKind::Single => run_single(w, &sc.log),
-        EngineKind::Sharded => run_sharded(w, &sc.log),
+        EngineKind::Single => run_batch(engine, 1, w, &sc.log),
+        EngineKind::Sharded => run_batch(engine, 4, w, &sc.log),
         EngineKind::Streaming => run_streaming(w, &sc.raw, &sc.log),
         EngineKind::Server => run_server(w, &sc.raw, &sc.log),
     }

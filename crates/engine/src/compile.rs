@@ -1,18 +1,18 @@
-//! Pattern compilation: TBQL → relational plans and graph path queries.
+//! Pattern compilation: TBQL → relational plans and graph path patterns.
 //!
 //! Event patterns become a three-way join (subject entity table ⋈ event
 //! table ⋈ object entity table) — "a SQL data query which joins entity
-//! tables with event table". Path patterns become graph
-//! [`PathQuery`]s — "since it is difficult to perform graph pattern search
-//! using SQL, ThreatRaptor compiles it into a Cypher data query".
+//! tables with event table". Path patterns keep their hop bounds and
+//! final operation for the graph path enumerator — "since it is difficult
+//! to perform graph pattern search using SQL, ThreatRaptor compiles it
+//! into a Cypher data query" (rendered by [`CompiledQuery::to_cypher`]).
 
 use crate::error::EngineError;
 use std::collections::HashMap;
-use threatraptor_storage::graphdb::PathQuery;
 use threatraptor_storage::relational::{
     CmpOp as SqlCmp, JoinCond, Predicate, SqlSelect, TableRef, Value,
 };
-use threatraptor_storage::store::{self, AuditStore};
+use threatraptor_storage::store;
 use threatraptor_tbql::analyze::AnalyzedQuery;
 use threatraptor_tbql::ast::{CmpOp, EntityType, Expr, Lit, Pattern, TimeWindow};
 use threatraptor_tbql::lint::{lint, LintReport};
@@ -253,47 +253,6 @@ impl CompiledQuery {
                 ("o".into(), "id".into()),
             ],
             distinct: false,
-        }
-    }
-
-    /// Builds the graph path query for a path pattern; `src`/`dst` come
-    /// from evaluating the endpoint predicates against the entity tables.
-    pub fn path_plan(
-        &self,
-        pat: &CompiledPattern,
-        store: &AuditStore,
-        extra: &HashMap<String, Predicate>,
-    ) -> PathQuery {
-        let CompiledShape::Path {
-            min_hops,
-            max_hops,
-            last_op,
-        } = &pat.shape
-        else {
-            panic!("path_plan on an event pattern");
-        };
-        let endpoint = |var: &str| {
-            crate::exec::entity_filter_set_in(
-                store.db.table(self.var_tables[var]),
-                self,
-                var,
-                extra,
-            )
-        };
-        PathQuery {
-            src: Some(endpoint(&pat.subject_var)),
-            dst: Some(endpoint(&pat.object_var)),
-            min_hops: *min_hops,
-            max_hops: *max_hops,
-            last_op: Some(
-                last_op
-                    .parse()
-                    .expect("operation names validated by analysis"),
-            ),
-            mid_ops: None,
-            time_monotone: true,
-            window: pat.window.map(|w| (w.lo, w.hi)),
-            max_matches: crate::exec::MAX_PATH_MATCHES,
         }
     }
 

@@ -1,18 +1,14 @@
 //! The executor: scheduling, constraint propagation, cross-pattern
 //! assembly, and the baseline execution modes.
 
-use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
-use crate::error::EngineError;
+use crate::compile::{CompiledPattern, CompiledQuery, CompiledShape};
 use crate::result::{HuntResult, HuntStats, JoinStats, Match};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use threatraptor_audit::entity::EntityId;
-use threatraptor_audit::event::{Event, Operation};
-use threatraptor_storage::relational::{Predicate, Value};
-use threatraptor_storage::store::AuditStore;
-use threatraptor_tbql::analyze::{analyze, AnalyzedQuery};
-use threatraptor_tbql::ast::Query;
-use threatraptor_tbql::parser::parse_query;
+use threatraptor_audit::event::Operation;
+use threatraptor_storage::relational::{Predicate, Table, Value};
+use threatraptor_storage::store::{AuditStore, TABLE_EVENT};
 
 /// Execution strategies. `Scheduled` is ThreatRaptor's; the others are
 /// the baselines of the efficiency experiments (E3/E4).
@@ -25,9 +21,9 @@ pub enum ExecMode {
     /// its own filters (no propagation); independent data queries run in
     /// parallel.
     Unscheduled,
-    /// Everything through the relational backend: path patterns are
-    /// expanded hop by hop with event-table joins (what plain SQL forces
-    /// you into).
+    /// Everything through the relational backend: path patterns take
+    /// each hop from an event-table `subject` index probe (the join
+    /// cascade plain SQL forces you into).
     RelationalOnly,
     /// Everything through the graph backend: event patterns scan edges
     /// without relational indexes.
@@ -46,10 +42,9 @@ impl ExecMode {
     }
 }
 
-/// One pattern's data-query output row. Event positions are
-/// store-relative: table rows for a single-store [`Engine`], global
-/// positions for the sharded executor (which translates shard-local rows
-/// before joining).
+/// One pattern's data-query output row. Event positions are global:
+/// leaf scans return shard-local rows, which the executor translates
+/// before joining.
 #[derive(Debug, Clone)]
 pub(crate) struct PatternRow {
     pub(crate) subject: EntityId,
@@ -59,338 +54,176 @@ pub(crate) struct PatternRow {
     pub(crate) end: u64,
 }
 
-/// The query engine over one audit store.
-#[derive(Debug, Clone, Copy)]
-pub struct Engine<'s> {
-    store: &'s AuditStore,
-}
+/// Event pattern through the relational backend of one shard.
+///
+/// Access-path selection over the event table's indexes (the paper's
+/// "mature indexing mechanisms"): probe by subject ids, by object ids,
+/// or by operation — whichever is estimated cheapest — then filter
+/// residual conditions. `s_ids`/`o_ids` are the endpoint variables'
+/// entity sets, resolved once per pattern by the caller. Rows come back
+/// sorted by (shard-local) position.
+pub(crate) fn event_via_sql(
+    store: &AuditStore,
+    pat: &CompiledPattern,
+    s_ids: &HashSet<EntityId>,
+    o_ids: &HashSet<EntityId>,
+) -> Vec<PatternRow> {
+    let CompiledShape::Event { ops } = &pat.shape else {
+        unreachable!()
+    };
+    let events = store.db.table(TABLE_EVENT);
+    let op_set = op_set(ops);
 
-impl<'s> Engine<'s> {
-    /// Creates an engine over a store.
-    pub fn new(store: &'s AuditStore) -> Engine<'s> {
-        Engine { store }
-    }
-
-    /// Parses, analyzes, compiles, and executes TBQL source with the
-    /// scheduled strategy. Queries the lint pass proves can never match
-    /// (temporal infeasibility, contradictory filters) are rejected at
-    /// the compile step with [`EngineError::Infeasible`] before any
-    /// rows are scanned.
-    pub fn hunt(&self, tbql: &str) -> Result<HuntResult, EngineError> {
-        self.hunt_mode(tbql, ExecMode::Scheduled)
-    }
-
-    /// Like [`Engine::hunt`] with an explicit execution mode.
-    pub fn hunt_mode(&self, tbql: &str, mode: ExecMode) -> Result<HuntResult, EngineError> {
-        let query = parse_query(tbql)?;
-        self.hunt_query(&query, mode)
-    }
-
-    /// Executes an already parsed query.
-    pub fn hunt_query(&self, query: &Query, mode: ExecMode) -> Result<HuntResult, EngineError> {
-        let analyzed = analyze(query)?;
-        self.hunt_analyzed(&analyzed, mode)
-    }
-
-    /// Executes an analyzed query.
-    pub fn hunt_analyzed(
-        &self,
-        analyzed: &AnalyzedQuery,
-        mode: ExecMode,
-    ) -> Result<HuntResult, EngineError> {
-        let compiled = compile(analyzed)?;
-        self.execute(&compiled, mode)
-    }
-
-    /// Executes a compiled query.
-    pub fn execute(&self, cq: &CompiledQuery, mode: ExecMode) -> Result<HuntResult, EngineError> {
-        let mut result = run_schedule(
-            cq,
-            mode,
-            &mut |pat, extra| self.run_pattern(cq, pat, extra, mode),
-            &|id, attr| self.store.entity(id).attr(attr),
-        );
-        // Single-store execution is one pseudo-shard.
-        result.stats.shard_rows = result
-            .stats
-            .rows_fetched
-            .iter()
-            .map(|(id, n)| (id.clone(), vec![*n]))
-            .collect();
-        Ok(result)
-    }
-
-    /// Runs one pattern's data query.
-    pub(crate) fn run_pattern(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-        mode: ExecMode,
-    ) -> Vec<PatternRow> {
-        match (&pat.shape, mode) {
-            (CompiledShape::Event { .. }, ExecMode::GraphOnly) => {
-                self.event_via_graph(cq, pat, extra)
-            }
-            (CompiledShape::Event { .. }, _) => self.event_via_sql(cq, pat, extra),
-            (CompiledShape::Path { .. }, ExecMode::RelationalOnly) => {
-                self.path_via_sql(cq, pat, extra)
-            }
-            (CompiledShape::Path { .. }, _) => self.path_via_graph(cq, pat, extra),
-        }
-    }
-
-    /// Event pattern through the relational backend.
-    ///
-    /// Access-path selection over the event table's indexes (the paper's
-    /// "mature indexing mechanisms"): probe by subject ids, by object
-    /// ids, or by operation — whichever is estimated cheapest — then
-    /// filter residual conditions. Entity predicates are evaluated once
-    /// against the (small) entity tables.
-    fn event_via_sql(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-    ) -> Vec<PatternRow> {
-        let CompiledShape::Event { ops } = &pat.shape else {
-            unreachable!()
-        };
-        let s_ids = self.entity_filter_set(cq, &pat.subject_var, extra);
-        let o_ids = self.entity_filter_set(cq, &pat.object_var, extra);
-        if s_ids.is_empty() || o_ids.is_empty() {
-            return Vec::new();
-        }
-        let events = self
-            .store
-            .db
-            .table(threatraptor_storage::store::TABLE_EVENT);
-        let op_set: HashSet<Operation> = ops
-            .iter()
-            .map(|o| o.parse().expect("ops validated"))
-            .collect();
-
-        // Estimate each access path by exact index-bucket sizes.
-        let probe_cost = |col: &str, ids: &HashSet<EntityId>| -> usize {
-            ids.iter()
-                .map(|id| {
-                    events
-                        .index_lookup(col, &[Value::from(id.0)])
-                        .map(|v| v.len())
-                        .unwrap_or(usize::MAX / 4)
-                })
-                .sum()
-        };
-        let op_values: Vec<Value> = ops.iter().map(|o| Value::str(o.as_str())).collect();
-        let op_cost = events
-            .index_lookup("op", &op_values)
-            .map(|v| v.len())
-            .unwrap_or(usize::MAX / 4);
-        let s_cost = probe_cost("subject", &s_ids);
-        let o_cost = probe_cost("object", &o_ids);
-
-        let candidates: Vec<usize> = if s_cost <= o_cost && s_cost <= op_cost {
-            s_ids
-                .iter()
-                .flat_map(|id| {
-                    events
-                        .index_lookup("subject", &[Value::from(id.0)])
-                        .unwrap_or_default()
-                })
-                .collect()
-        } else if o_cost <= op_cost {
-            o_ids
-                .iter()
-                .flat_map(|id| {
-                    events
-                        .index_lookup("object", &[Value::from(id.0)])
-                        .unwrap_or_default()
-                })
-                .collect()
-        } else {
-            events.index_lookup("op", &op_values).unwrap_or_default()
-        };
-
-        let mut out = Vec::with_capacity(candidates.len() / 4 + 1);
-        for pos in candidates {
-            let ev = self.store.event_at(pos);
-            if !op_set.contains(&ev.op)
-                || !s_ids.contains(&ev.subject)
-                || !o_ids.contains(&ev.object)
-            {
-                continue;
-            }
-            if let Some(w) = pat.window {
-                if ev.start < w.lo || ev.end > w.hi {
-                    continue;
-                }
-            }
-            out.push(PatternRow {
-                subject: ev.subject,
-                object: ev.object,
-                events: vec![pos],
-                start: ev.start,
-                end: ev.end,
-            });
-        }
-        out.sort_by_key(|r| r.events[0]);
-        out
-    }
-
-    /// Event pattern through the graph backend: scan all edges, filter by
-    /// operation and endpoint predicates (no relational indexes — the
-    /// baseline cost the paper's hybrid design avoids).
-    fn event_via_graph(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-    ) -> Vec<PatternRow> {
-        let CompiledShape::Event { ops } = &pat.shape else {
-            unreachable!()
-        };
-        let op_set: HashSet<Operation> = ops
-            .iter()
-            .map(|o| o.parse().expect("ops validated"))
-            .collect();
-        let s_ok = self.entity_filter_set(cq, &pat.subject_var, extra);
-        let o_ok = self.entity_filter_set(cq, &pat.object_var, extra);
-        // A graph store has no attribute indexes over edges; it scans.
-        // The scan is parallelized across worker threads (crossbeam),
-        // as a production graph database would — but only when the edge
-        // set is large enough to amortize thread spawns. Small scans run
-        // sequentially, which also keeps the sharded executor (which
-        // invokes this per shard, possibly from its own worker pool) from
-        // stacking a third parallelism layer over tiny slices.
-        const PARALLEL_SCAN_THRESHOLD: usize = 65_536;
-        let n = self.store.graph.edge_count();
-        let workers = if n < PARALLEL_SCAN_THRESHOLD {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-                .clamp(1, 8)
-        };
-        let chunk = n.div_ceil(workers);
-        let mut out: Vec<PatternRow> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
-                let op_set = &op_set;
-                let s_ok = &s_ok;
-                let o_ok = &o_ok;
-                handles.push(scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    for idx in lo..hi {
-                        let edge = self.store.graph.edge(idx);
-                        if !op_set.contains(&edge.op) {
-                            continue;
-                        }
-                        if let Some(w) = pat.window {
-                            if edge.start < w.lo || edge.end > w.hi {
-                                continue;
-                            }
-                        }
-                        if !s_ok.contains(&edge.src) || !o_ok.contains(&edge.dst) {
-                            continue;
-                        }
-                        local.push(PatternRow {
-                            subject: edge.src,
-                            object: edge.dst,
-                            events: vec![edge.event_pos],
-                            start: edge.start,
-                            end: edge.end,
-                        });
-                    }
-                    local
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("scan worker panicked"))
-                .collect()
+    // Estimate each access path by exact index-bucket sizes.
+    let probe_cost = |col: &str, ids: &HashSet<EntityId>| -> usize {
+        ids.iter()
+            .map(|id| {
+                events
+                    .index_get(col, &Value::from(id.0))
+                    .map_or(usize::MAX / 4, <[usize]>::len)
+            })
+            .sum()
+    };
+    let op_values: Vec<Value> = ops.iter().map(|o| Value::str(o.as_str())).collect();
+    let op_cost = op_values
+        .iter()
+        .map(|v| {
+            events
+                .index_get("op", v)
+                .map_or(usize::MAX / 4, <[usize]>::len)
         })
-        .expect("crossbeam scope");
-        out.sort_by_key(|r| r.events[0]);
-        out
-    }
+        .sum();
+    let s_cost = probe_cost("subject", s_ids);
+    let o_cost = probe_cost("object", o_ids);
 
-    /// Path pattern through the graph backend.
-    fn path_via_graph(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-    ) -> Vec<PatternRow> {
-        let pq = cq.path_plan(pat, self.store, extra);
-        pq.search(&self.store.graph)
-            .into_iter()
-            .map(|p| {
-                let first = self.store.graph.edge(p.edges[0]);
-                let last = self.store.graph.edge(*p.edges.last().expect("non-empty"));
-                PatternRow {
-                    subject: first.src,
-                    object: last.dst,
-                    events: p
-                        .edges
-                        .iter()
-                        .map(|&e| self.store.graph.edge(e).event_pos)
-                        .collect(),
-                    start: first.start,
-                    end: last.end,
-                }
+    let probe = |col: &str, ids: &HashSet<EntityId>| -> Vec<usize> {
+        ids.iter()
+            .flat_map(|id| {
+                events
+                    .index_get(col, &Value::from(id.0))
+                    .unwrap_or_default()
+                    .iter()
+                    .copied()
             })
             .collect()
-    }
+    };
+    let candidates: Vec<usize> = if s_cost <= o_cost && s_cost <= op_cost {
+        probe("subject", s_ids)
+    } else if o_cost <= op_cost {
+        probe("object", o_ids)
+    } else {
+        events.index_lookup("op", &op_values).unwrap_or_default()
+    };
 
-    /// Path pattern through the relational backend: hop-by-hop frontier
-    /// expansion with event-table index lookups — the join cascade a pure
-    /// SQL backend would execute.
-    fn path_via_sql(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-    ) -> Vec<PatternRow> {
-        let srcs = self.entity_filter_set(cq, &pat.subject_var, extra);
-        let dsts = self.entity_filter_set(cq, &pat.object_var, extra);
-        let events_table = self
-            .store
-            .db
-            .table(threatraptor_storage::store::TABLE_EVENT);
-        expand_paths(
-            pat,
-            &srcs,
-            &dsts,
-            &|node| {
-                // SELECT * FROM event WHERE subject = node (index probe).
-                events_table
-                    .index_lookup("subject", &[Value::from(node.0)])
-                    .unwrap_or_default()
-            },
-            &|pos| self.store.event_at(pos),
-        )
+    let mut out = Vec::with_capacity(candidates.len() / 4 + 1);
+    for pos in candidates {
+        let ev = store.event_at(pos);
+        if !op_set.contains(&ev.op) || !s_ids.contains(&ev.subject) || !o_ids.contains(&ev.object) {
+            continue;
+        }
+        if let Some(w) = pat.window {
+            if ev.start < w.lo || ev.end > w.hi {
+                continue;
+            }
+        }
+        out.push(PatternRow {
+            subject: ev.subject,
+            object: ev.object,
+            events: vec![pos],
+            start: ev.start,
+            end: ev.end,
+        });
     }
+    out.sort_by_key(|r| r.events[0]);
+    out
+}
 
-    /// Entity ids satisfying a variable's merged predicate.
-    pub(crate) fn entity_filter_set(
-        &self,
-        cq: &CompiledQuery,
-        var: &str,
-        extra: &HashMap<String, Predicate>,
-    ) -> HashSet<EntityId> {
-        entity_filter_set_in(self.store.db.table(cq.var_tables[var]), cq, var, extra)
-    }
+/// Event pattern through the graph backend of one shard: scan all edges,
+/// filter by operation and endpoint sets (no relational indexes — the
+/// baseline cost the paper's hybrid design avoids). Rows come back sorted
+/// by (shard-local) position.
+pub(crate) fn event_via_graph(
+    store: &AuditStore,
+    pat: &CompiledPattern,
+    s_ids: &HashSet<EntityId>,
+    o_ids: &HashSet<EntityId>,
+) -> Vec<PatternRow> {
+    let CompiledShape::Event { ops } = &pat.shape else {
+        unreachable!()
+    };
+    let op_set = op_set(ops);
+    // A graph store has no attribute indexes over edges; it scans.
+    // The scan is parallelized across worker threads (crossbeam),
+    // as a production graph database would — but only when the edge
+    // set is large enough to amortize thread spawns. Small scans run
+    // sequentially, which also keeps the executor (which invokes this
+    // per shard, possibly from its own worker pool) from stacking a
+    // third parallelism layer over tiny slices.
+    const PARALLEL_SCAN_THRESHOLD: usize = 65_536;
+    let n = store.graph.edge_count();
+    let workers = if n < PARALLEL_SCAN_THRESHOLD {
+        1
+    } else {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
+            .clamp(1, 8)
+    };
+    let chunk = n.div_ceil(workers);
+    let mut out: Vec<PatternRow> = crossbeam::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for w in 0..workers {
+            let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
+            let op_set = &op_set;
+            handles.push(scope.spawn(move |_| {
+                let mut local = Vec::new();
+                for idx in lo..hi {
+                    let edge = store.graph.edge(idx);
+                    if !op_set.contains(&edge.op) {
+                        continue;
+                    }
+                    if let Some(w) = pat.window {
+                        if edge.start < w.lo || edge.end > w.hi {
+                            continue;
+                        }
+                    }
+                    if !s_ids.contains(&edge.src) || !o_ids.contains(&edge.dst) {
+                        continue;
+                    }
+                    local.push(PatternRow {
+                        subject: edge.src,
+                        object: edge.dst,
+                        events: vec![edge.event_pos],
+                        start: edge.start,
+                        end: edge.end,
+                    });
+                }
+                local
+            }));
+        }
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("scan worker panicked"))
+            .collect()
+    })
+    .expect("crossbeam scope");
+    out.sort_by_key(|r| r.events[0]);
+    out
+}
+
+fn op_set(ops: &[String]) -> HashSet<Operation> {
+    ops.iter()
+        .map(|o| o.parse().expect("ops validated"))
+        .collect()
 }
 
 /// Entity ids in `table` satisfying `var`'s compiled predicate merged
 /// with any propagated extra filter — the one resolution routine behind
-/// every executor's entity filtering. The caller picks the table: the
-/// single-store [`Engine`] and the path planner probe their store's
-/// catalog, the sharded executor the store-level shared entity tables.
+/// the executor's entity filtering. The executor passes the store-level
+/// entity table, so each variable resolves once per pattern, not once per
+/// shard.
 pub(crate) fn entity_filter_set_in(
-    table: &threatraptor_storage::relational::Table,
+    table: &Table,
     cq: &CompiledQuery,
     var: &str,
     extra: &HashMap<String, Predicate>,
@@ -415,10 +248,7 @@ pub(crate) type PatternFetch<'a> =
 /// The scheduling driver (paper §II-F): pruning-score ordering,
 /// cross-pattern constraint propagation, join, and projection. The store
 /// only enters through the two closures — `fetch` answers one pattern's
-/// data query (single-table for [`Engine`], scatter-gather for the
-/// sharded executor) and `entity_attr` resolves projections — so the
-/// single-store and sharded executors share this logic verbatim rather
-/// than maintaining two copies of it.
+/// scatter-gather data query and `entity_attr` resolves projections.
 pub(crate) fn run_schedule(
     cq: &CompiledQuery,
     mode: ExecMode,
@@ -503,9 +333,8 @@ pub(crate) fn run_schedule(
 }
 
 /// Joins a pattern's rows into the partial match set, enforcing
-/// shared-entity equality and all decidable temporal constraints.
-/// Free function (not a method): the sharded executor joins globally
-/// after gathering rows from every shard, using the same code path.
+/// shared-entity equality and all decidable temporal constraints. The
+/// join is global: it runs after rows are gathered from every shard.
 pub(crate) fn join_rows(
     cq: &CompiledQuery,
     partial: Option<Vec<Match>>,
@@ -583,9 +412,8 @@ pub(crate) fn join_rows(
     out
 }
 
-/// Projects matches into the result table. The entity lookup is a closure
-/// so the single-store and sharded executors can project through their
-/// respective stores.
+/// Projects matches into the result table, resolving entity attributes
+/// through `entity_attr`.
 pub(crate) fn project_matches(
     cq: &CompiledQuery,
     matches: &[Match],
@@ -614,121 +442,11 @@ pub(crate) fn project_matches(
     (columns, rows)
 }
 
-/// Safety cap on enumerated paths — the single source for both path
-/// executors: [`CompiledQuery::path_plan`] feeds it into the graph
-/// backend's `PathQuery::max_matches`, and [`expand_paths`] enforces it
-/// directly. Dense graphs make path counts combinatorial, and an
-/// uncapped expansion is an unbounded memory/time sink in a multi-tenant
-/// service.
-pub(crate) const MAX_PATH_MATCHES: usize = 100_000;
-
-/// Hop-by-hop frontier expansion of a variable-length path pattern over an
-/// abstract event index: `subject_index` answers "positions of events with
-/// this subject" and `event_at` resolves a position. The single-store
-/// executor backs these with one event table; the sharded executor merges
-/// every shard's index probes into global positions — giving identical
-/// path semantics whether the events live in one store or many. Output is
-/// truncated at [`MAX_PATH_MATCHES`], like the graph backend.
-pub(crate) fn expand_paths<'a>(
-    pat: &CompiledPattern,
-    srcs: &HashSet<EntityId>,
-    dsts: &HashSet<EntityId>,
-    subject_index: &dyn Fn(EntityId) -> Vec<usize>,
-    event_at: &dyn Fn(usize) -> &'a Event,
-) -> Vec<PatternRow> {
-    let CompiledShape::Path {
-        min_hops,
-        max_hops,
-        last_op,
-    } = &pat.shape
-    else {
-        unreachable!()
-    };
-    let last_op: Operation = last_op.parse().expect("ops validated");
-    // No source or no admissible destination means no path can ever
-    // complete — skip the (potentially combinatorial) expansion entirely,
-    // like the event-pattern executors do for empty entity sets.
-    if srcs.is_empty() || dsts.is_empty() {
-        return Vec::new();
-    }
-
-    // Partial path state: (current node, first start, last end, hops).
-    #[derive(Clone)]
-    struct PartialPath {
-        node: EntityId,
-        start: u64,
-        end: u64,
-        events: Vec<usize>,
-    }
-    // Sorted sources keep the expansion order (and any truncated subset)
-    // deterministic; HashSet iteration order is not.
-    let mut sources: Vec<EntityId> = srcs.iter().copied().collect();
-    sources.sort_unstable_by_key(|e| e.0);
-    let mut frontier: Vec<PartialPath> = sources
-        .into_iter()
-        .map(|n| PartialPath {
-            node: n,
-            start: 0,
-            end: 0,
-            events: Vec::new(),
-        })
-        .collect();
-    let mut out = Vec::new();
-    'expansion: for hop in 1..=*max_hops {
-        let mut next = Vec::new();
-        for p in &frontier {
-            // SELECT * FROM event WHERE subject = p.node AND start >= p.end
-            for rid in subject_index(p.node) {
-                let ev = event_at(rid);
-                if !p.events.is_empty() && ev.start < p.end {
-                    continue; // time-monotone
-                }
-                if p.events.contains(&rid) {
-                    continue;
-                }
-                if let Some(w) = pat.window {
-                    if ev.start < w.lo || ev.end > w.hi {
-                        continue;
-                    }
-                }
-                let mut np = p.clone();
-                if np.events.is_empty() {
-                    np.start = ev.start;
-                }
-                np.end = ev.end;
-                np.events.push(rid);
-                np.node = ev.object;
-                if hop >= *min_hops && ev.op == last_op && dsts.contains(&ev.object) {
-                    out.push(PatternRow {
-                        subject: EntityId(event_at(np.events[0]).subject.0),
-                        object: ev.object,
-                        events: np.events.clone(),
-                        start: np.start,
-                        end: np.end,
-                    });
-                    if out.len() >= MAX_PATH_MATCHES {
-                        break 'expansion;
-                    }
-                }
-                next.push(np);
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    // Position-sorted output: a stable, backend-independent row order
-    // (hop-major expansion order would differ from the graph backend's
-    // depth-first order; sorted order agrees with neither but is the same
-    // for every executor that goes through this function).
-    out.sort_unstable_by(|a, b| a.events.cmp(&b.events));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
+    use crate::Engine;
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
     use threatraptor_tbql::parser::FIG2_TBQL;
 
@@ -765,14 +483,17 @@ mod tests {
     fn all_modes_agree_on_results() {
         let store = store();
         let engine = Engine::new(&store);
-        let scheduled = engine.hunt_mode(FIG2_TBQL, ExecMode::Scheduled).unwrap();
-        for mode in [
-            ExecMode::Unscheduled,
-            ExecMode::RelationalOnly,
-            ExecMode::GraphOnly,
-        ] {
-            let r = engine.hunt_mode(FIG2_TBQL, mode).unwrap();
-            assert_eq!(r.rows, scheduled.rows, "mode {mode:?} must agree");
+        for q in [FIG2_TBQL, "proc p ~>(2~3)[read] file f return p, f"] {
+            let scheduled = engine.hunt_mode(q, ExecMode::Scheduled).unwrap();
+            assert!(!scheduled.is_empty(), "{q}");
+            for mode in [
+                ExecMode::Unscheduled,
+                ExecMode::RelationalOnly,
+                ExecMode::GraphOnly,
+            ] {
+                let r = engine.hunt_mode(q, mode).unwrap();
+                assert_eq!(r.rows, scheduled.rows, "mode {mode:?} must agree on {q}");
+            }
         }
     }
 

@@ -18,6 +18,7 @@ use crate::error::EngineError;
 use crate::exec::ExecMode;
 use crate::result::{HuntResult, HuntStats, JoinStats};
 use crate::sharded::ShardedEngine;
+use threatraptor_storage::store::EventLookup;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
@@ -363,7 +364,7 @@ pub(crate) fn attach_actuals(report: &mut ExplainReport, stats: &HuntStats, matc
     });
 }
 
-impl<'s> ShardedEngine<'s> {
+impl<S: EventLookup + Sync> ShardedEngine<'_, S> {
     /// Renders the compiled plan for `tbql` without executing it.
     pub fn explain(&self, tbql: &str, mode: ExecMode) -> Result<ExplainReport, EngineError> {
         let query = parse_query(tbql)?;

@@ -19,15 +19,16 @@
 //!
 //! Modules:
 //! * [`compile`] — event patterns → relational select-project-join plans
-//!   (with SQL text rendering); path patterns → graph path queries (with
-//!   Cypher text rendering);
+//!   (with SQL text rendering); path patterns → Cypher text rendering;
 //! * [`score`] — pruning scores;
-//! * [`exec`] — the scheduler/executor, including the baseline execution
-//!   modes used by the efficiency experiments (unscheduled,
+//! * [`exec`] — the scheduler (ordering, constraint propagation,
+//!   join, projection), the per-shard event-pattern leaf scans, and the
+//!   execution modes used by the efficiency experiments (unscheduled,
 //!   relational-only, graph-only);
-//! * [`sharded`] — the scatter-gather executor over a
-//!   [`threatraptor_storage::sharded::ShardedStore`], with exact parity
-//!   to single-store execution;
+//! * `path` — the one depth-first path enumerator, over every shard's
+//!   adjacency at once;
+//! * [`sharded`] — [`ShardedEngine`], the one executor: scatter-gather
+//!   over any store's shards ([`Engine`] is its single-store instance);
 //! * [`result`] — hunt results, per-pattern matches, and evaluation
 //!   against ground truth;
 //! * [`explain`] — `EXPLAIN` / `EXPLAIN ANALYZE` reports: the compiled
@@ -43,13 +44,14 @@ pub mod delta;
 pub mod error;
 pub mod exec;
 pub mod explain;
+mod path;
 pub mod result;
 pub mod score;
 pub mod sharded;
 
 pub use delta::DeltaState;
 pub use error::EngineError;
-pub use exec::{Engine, ExecMode};
+pub use exec::ExecMode;
 pub use explain::{ExplainActuals, ExplainEntry, ExplainReport, PatternActuals};
 pub use result::{DeltaStats, HuntResult, HuntStats, JoinStats, Match};
-pub use sharded::ShardedEngine;
+pub use sharded::{Engine, ShardedEngine};

@@ -1,51 +1,44 @@
-//! Scatter-gather execution over a [`ShardedStore`].
+//! The scatter-gather executor, over any [`EventLookup`] store.
 //!
-//! Mirrors the paper's scheduler (§II-F) exactly — same pruning-score
-//! ordering, same constraint propagation, same join — but each pattern's
-//! *data query* fans out across the store's shards:
+//! Runs the paper's scheduler (§II-F) — pruning-score ordering,
+//! constraint propagation, global join — and fans each pattern's *data
+//! query* out across the store's shards. A single [`AuditStore`] is one
+//! shard at offset 0 ([`Engine`]); a [`ShardedStore`] is many.
 //!
-//! * **event patterns** run the per-shard data query (with the same
-//!   propagated filters) on every shard, in parallel on scoped threads;
-//!   shard-local row positions are translated to global positions and the
-//!   gathered rows are merged in deterministic (global position) order —
-//!   which is precisely the order the single-store executor produces,
-//!   since shards are contiguous slices of the same event stream;
-//! * **path patterns** cannot be answered per shard (a multi-hop flow may
-//!   cross a time-window boundary), so they run as hop-by-hop frontier
-//!   expansion where each hop's index probe is the sorted union of every
-//!   shard's probe — semantically identical to probing one global event
-//!   table.
+//! * Each variable's entity set is resolved **once** per pattern, against
+//!   the store-level entity table, and handed to every shard's leaf scan.
+//! * **Event patterns** run the leaf scan on every shard, in parallel on
+//!   scoped threads; shard-local positions are translated to global ones
+//!   and rows are concatenated in shard order — global position order,
+//!   since shards are contiguous slices of one event stream.
+//! * **Path patterns** cannot be answered per shard (a multi-hop flow may
+//!   cross a time-window boundary), so one depth-first enumerator walks
+//!   every shard's adjacency at once.
 //!
-//! Because the fan-out happens at the data-query level and the join stays
-//! global, a [`ShardedEngine`] returns exactly the *record set* a
-//! single-store [`Engine`] returns on the same `(log, cpr)` input: same
-//! matches, same matched event ids, same projected rows up to order.
-//! Event-pattern results agree in row order too; path-pattern rows come
-//! back position-sorted, whereas the single-store graph backend emits
-//! them in depth-first search order — order-normalized comparison (as in
-//! the parity tests) is the contract. When a path pattern overflows the
-//! 100k safety cap, the two executors may also retain different (equally
-//! arbitrary) subsets — the cap is a resource valve, not a semantic
-//! guarantee.
+//! Results — rows, row order and matched events — are therefore
+//! identical for every shard count over the same `(log, cpr)` input.
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
-use crate::exec::{expand_paths, project_matches, run_schedule, Engine, ExecMode, PatternRow};
+use crate::exec::{
+    entity_filter_set_in, event_via_graph, event_via_sql, project_matches, run_schedule, ExecMode,
+    PatternRow,
+};
+use crate::path::{enumerate_paths, Adjacency};
 use crate::result::{HuntResult, Match};
-use std::collections::{HashMap, HashSet};
-use threatraptor_audit::entity::EntityId;
+use std::collections::HashMap;
 use threatraptor_obs::Registry;
-use threatraptor_storage::relational::{Predicate, Value};
+use threatraptor_storage::relational::Predicate;
 use threatraptor_storage::sharded::ShardedStore;
-use threatraptor_storage::store::TABLE_EVENT;
+use threatraptor_storage::store::{AuditStore, EventLookup};
 use threatraptor_tbql::analyze::{analyze, AnalyzedQuery};
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
 
-/// The scatter-gather query engine over a sharded store.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedEngine<'s> {
-    store: &'s ShardedStore,
+/// The query engine over one store: scatter-gather across its shards.
+#[derive(Debug)]
+pub struct ShardedEngine<'s, S = ShardedStore> {
+    store: &'s S,
     /// Worker threads for per-pattern shard fan-out (1 = sequential).
     threads: usize,
     /// Optional metric sink: when attached, every execution bumps
@@ -58,9 +51,21 @@ pub struct ShardedEngine<'s> {
     registry: Option<&'s Registry>,
 }
 
-impl<'s> ShardedEngine<'s> {
+/// The engine over a single [`AuditStore`]: the one-shard instance of
+/// [`ShardedEngine`].
+pub type Engine<'s> = ShardedEngine<'s, AuditStore>;
+
+impl<S> Clone for ShardedEngine<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for ShardedEngine<'_, S> {}
+
+impl<'s, S: EventLookup + Sync> ShardedEngine<'s, S> {
     /// Creates an engine fanning out across all available cores.
-    pub fn new(store: &'s ShardedStore) -> ShardedEngine<'s> {
+    pub fn new(store: &'s S) -> ShardedEngine<'s, S> {
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
@@ -70,7 +75,7 @@ impl<'s> ShardedEngine<'s> {
     /// Creates an engine with an explicit shard-scan thread count. Use 1
     /// when an outer layer (e.g. the hunt server's worker pool) already
     /// saturates the cores with concurrent queries.
-    pub fn with_threads(store: &'s ShardedStore, threads: usize) -> ShardedEngine<'s> {
+    pub fn with_threads(store: &'s S, threads: usize) -> ShardedEngine<'s, S> {
         ShardedEngine {
             store,
             threads: threads.max(1),
@@ -79,18 +84,21 @@ impl<'s> ShardedEngine<'s> {
     }
 
     /// Attaches a metric registry for per-execution row-scan counters.
-    pub fn with_registry(mut self, registry: &'s Registry) -> ShardedEngine<'s> {
+    pub fn with_registry(mut self, registry: &'s Registry) -> ShardedEngine<'s, S> {
         self.registry = Some(registry);
         self
     }
 
-    /// The underlying sharded store.
-    pub fn store(&self) -> &'s ShardedStore {
+    /// The underlying store.
+    pub fn store(&self) -> &'s S {
         self.store
     }
 
     /// Parses, analyzes, compiles, and executes TBQL source with the
-    /// scheduled strategy.
+    /// scheduled strategy. Queries the lint pass proves can never match
+    /// (temporal infeasibility, contradictory filters) are rejected at
+    /// the compile step with [`EngineError::Infeasible`] before any
+    /// rows are scanned.
     pub fn hunt(&self, tbql: &str) -> Result<HuntResult, EngineError> {
         self.hunt_mode(tbql, ExecMode::Scheduled)
     }
@@ -175,32 +183,12 @@ impl<'s> ShardedEngine<'s> {
         project_matches(cq, matches, &|id, attr| self.store.entity(id).attr(attr))
     }
 
-    /// Entity ids satisfying a variable's merged predicate, resolved
-    /// against the **store-level** entity tables. In a batch store these
-    /// are the same physical tables every shard shares; in a streaming
-    /// snapshot they are the authoritative current tables — sealed shards
-    /// carry only the (sufficient for shard-local residuals, but
-    /// incomplete) entity prefix known when they were frozen, so probing
-    /// shard 0 would miss entities that arrived after the oldest seal.
-    fn global_entity_filter_set(
-        &self,
-        cq: &CompiledQuery,
-        var: &str,
-        extra: &HashMap<String, Predicate>,
-    ) -> HashSet<EntityId> {
-        crate::exec::entity_filter_set_in(
-            self.store.entity_table(cq.var_tables[var]),
-            cq,
-            var,
-            extra,
-        )
-    }
-
     /// Runs one pattern's data query across all shards; the returned rows
-    /// carry *global* event positions, sorted for a deterministic join.
-    /// Also returns the per-shard row counts (index = shard) feeding the
-    /// execution profile, and the number of rows the DBM feasible-range
-    /// clamp excluded.
+    /// carry *global* event positions, in global position order for event
+    /// patterns and depth-first order for path patterns. Also returns the
+    /// per-shard row counts (index = shard) feeding the execution
+    /// profile, and the number of rows the DBM feasible-range clamp
+    /// excluded.
     ///
     /// `min_pos` restricts event-pattern scans to rows whose witness
     /// position is at least `min_pos` — the delta executor's epoch-range
@@ -216,19 +204,66 @@ impl<'s> ShardedEngine<'s> {
         mode: ExecMode,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>, usize) {
+        let n = self.store.shard_count();
+        // Entity sets come from the store-level tables: in a streaming
+        // snapshot, sealed shards carry only the entity prefix known when
+        // they were frozen.
+        let ids = |var: &str| {
+            entity_filter_set_in(self.store.entity_table(cq.var_tables[var]), cq, var, extra)
+        };
+        let (s_ids, o_ids) = (ids(&pat.subject_var), ids(&pat.object_var));
+        if s_ids.is_empty() || o_ids.is_empty() {
+            return (Vec::new(), vec![0; n], 0);
+        }
+
         let (mut rows, mut per_shard) = match pat.shape {
             CompiledShape::Event { .. } => {
-                self.scatter_event_pattern(cq, pat, extra, mode, min_pos)
+                let run_shard = |i: usize| -> Vec<PatternRow> {
+                    let offset = self.store.offset(i);
+                    // Epoch-range restriction: a shard entirely below the
+                    // cut cannot contribute a fresh row — skip its scan.
+                    if self.store.offset(i + 1) <= min_pos {
+                        return Vec::new();
+                    }
+                    let shard = self.store.shard(i);
+                    let mut rows = if mode == ExecMode::GraphOnly {
+                        event_via_graph(shard, pat, &s_ids, &o_ids)
+                    } else {
+                        event_via_sql(shard, pat, &s_ids, &o_ids)
+                    };
+                    for r in &mut rows {
+                        for pos in &mut r.events {
+                            *pos += offset;
+                        }
+                    }
+                    if offset < min_pos {
+                        // Boundary shard: keep only rows witnessing the
+                        // fresh range (compaction can merge a former seal
+                        // boundary into the middle of a shard).
+                        rows.retain(|r| r.events.iter().any(|&p| p >= min_pos));
+                    }
+                    rows
+                };
+                let per_shard = threatraptor_storage::sharded::fan_out(n, self.threads, run_shard);
+                let counts: Vec<usize> = per_shard.iter().map(Vec::len).collect();
+                let mut rows = Vec::with_capacity(counts.iter().sum());
+                for mut shard_rows in per_shard {
+                    rows.append(&mut shard_rows);
+                }
+                (rows, counts)
             }
             CompiledShape::Path { .. } => {
-                let rows = self.path_over_shards(cq, pat, extra);
-                // Paths expand globally; attribute each row to the shard
-                // holding its first hop so profile totals still add up.
-                let mut per_shard = vec![0usize; self.store.shard_count()];
+                let adjacency = if mode == ExecMode::RelationalOnly {
+                    Adjacency::SubjectIndex
+                } else {
+                    Adjacency::Graph
+                };
+                let rows = enumerate_paths(self.store, pat, &s_ids, &o_ids, adjacency);
+                // Attribute each path to the shard holding its first hop
+                // so profile totals still add up.
+                let mut per_shard = vec![0usize; n];
                 for r in &rows {
-                    if let Some(&pos) = r.events.first() {
-                        per_shard[self.shard_of(pos)] += 1;
-                    }
+                    per_shard[self.store.locate(r.events[0]).0] += 1;
                 }
                 (rows, per_shard)
             }
@@ -244,146 +279,12 @@ impl<'s> ShardedEngine<'s> {
                 let keep = r.start >= b.lo && r.end <= b.hi;
                 if !keep {
                     pruned += 1;
-                    if let Some(&pos) = r.events.first() {
-                        per_shard[self.shard_of(pos)] -= 1;
-                    }
+                    per_shard[self.store.locate(r.events[0]).0] -= 1;
                 }
                 keep
             });
         }
         (rows, per_shard, pruned)
-    }
-
-    /// The shard holding global event position `pos`.
-    fn shard_of(&self, pos: usize) -> usize {
-        let mut shard = 0;
-        for i in 0..self.store.shard_count() {
-            if self.store.offset(i) <= pos {
-                shard = i;
-            } else {
-                break;
-            }
-        }
-        shard
-    }
-
-    /// Event-pattern scatter: each shard evaluates the pattern over its
-    /// own slice of the stream with the single-store executor, then rows
-    /// are translated to global positions and merge-sorted.
-    ///
-    /// Entity predicates are resolved to id sets **once** against the
-    /// store-level entity tables and pushed down as indexed `id IN (…)`
-    /// filters; each shard then probes its id B-tree instead of
-    /// re-running `LIKE` scans over the full entity tables — without
-    /// this, per-shard entity filtering costs `shards ×` the
-    /// single-store price.
-    fn scatter_event_pattern(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-        mode: ExecMode,
-        min_pos: usize,
-    ) -> (Vec<PatternRow>, Vec<usize>) {
-        let mut extra = extra.clone();
-        for var in [&pat.subject_var, &pat.object_var] {
-            let ids: HashSet<Value> = self
-                .global_entity_filter_set(cq, var, &extra)
-                .into_iter()
-                .map(|e| Value::from(e.0))
-                .collect();
-            // The set is exactly the ids satisfying the variable's merged
-            // predicate, so per shard the residual evaluation touches only
-            // these rows.
-            extra.insert(var.clone(), Predicate::InSet("id".into(), ids));
-        }
-        let extra = &extra;
-
-        let n = self.store.shard_count();
-        let run_shard = |i: usize| -> Vec<PatternRow> {
-            let offset = self.store.offset(i);
-            // Epoch-range restriction: a shard entirely below the cut
-            // cannot contribute a fresh row — skip its scan outright.
-            if self.store.offset(i + 1) <= min_pos {
-                return Vec::new();
-            }
-            let engine = Engine::new(self.store.shard(i));
-            let mut rows = engine.run_pattern(cq, pat, extra, mode);
-            for r in &mut rows {
-                for pos in &mut r.events {
-                    *pos += offset;
-                }
-            }
-            if offset < min_pos {
-                // Boundary shard: keep only rows witnessing the fresh
-                // range (compaction can merge a former seal boundary
-                // into the middle of a shard).
-                rows.retain(|r| r.events.iter().any(|&p| p >= min_pos));
-            }
-            rows
-        };
-
-        let mut per_shard: Vec<Vec<PatternRow>> =
-            threatraptor_storage::sharded::fan_out(n, self.threads, run_shard);
-
-        let counts: Vec<usize> = per_shard.iter().map(Vec::len).collect();
-        // Shards are contiguous slices in time order and each shard's rows
-        // are already sorted by first event position, so concatenating in
-        // shard order reproduces the single-store row order exactly.
-        let mut out = Vec::with_capacity(counts.iter().sum());
-        for rows in &mut per_shard {
-            out.append(rows);
-        }
-        (out, counts)
-    }
-
-    /// Path-pattern execution over all shards: hop-by-hop frontier
-    /// expansion where each subject-index probe is the sorted union of
-    /// per-shard index probes (global positions) — equivalent to probing
-    /// one global event table.
-    fn path_over_shards(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-    ) -> Vec<PatternRow> {
-        // Endpoint sets come from the store-level entity tables (the
-        // authoritative, complete tables in both batch and streaming
-        // stores).
-        let srcs = self.global_entity_filter_set(cq, &pat.subject_var, extra);
-        let dsts = self.global_entity_filter_set(cq, &pat.object_var, extra);
-
-        // The expansion probes the same hot nodes repeatedly (a node
-        // reached by many partial paths is probed once per path per hop),
-        // and each probe here costs shard_count index lookups + a sort.
-        // The store is immutable for the duration of the call, so memoize
-        // merged probe results per node.
-        let memo: std::cell::RefCell<HashMap<EntityId, Vec<usize>>> =
-            std::cell::RefCell::new(HashMap::new());
-        expand_paths(
-            pat,
-            &srcs,
-            &dsts,
-            &|node| {
-                if let Some(positions) = memo.borrow().get(&node) {
-                    return positions.clone();
-                }
-                let mut positions: Vec<usize> = (0..self.store.shard_count())
-                    .flat_map(|i| {
-                        let table = self.store.shard(i).db.table(TABLE_EVENT);
-                        table
-                            .index_lookup("subject", &[Value::from(node.0)])
-                            .unwrap_or_default()
-                            .into_iter()
-                            .map(move |local| self.store.offset(i) + local)
-                    })
-                    .collect();
-                positions.sort_unstable();
-                memo.borrow_mut().insert(node, positions.clone());
-                positions
-            },
-            &|pos| self.store.event_at(pos),
-        )
     }
 }
 
@@ -420,21 +321,15 @@ mod tests {
     #[test]
     fn path_patterns_cross_shard_boundaries() {
         // Tiny shards force the attack chain to straddle shard borders;
-        // the frontier expansion must still find every path.
+        // the enumerator must still find every path, in the same order.
         let (single, sharded) = fixtures(32);
         let q = "proc p[\"%/bin/tar%\"] ~>(1~2)[write] file f[\"%/tmp/upload.tar%\"] as pp1\n\
                  return p, f";
         let expected = Engine::new(&single).hunt(q).unwrap();
         let got = ShardedEngine::new(&sharded).hunt(q).unwrap();
         assert!(!got.is_empty());
-        // Path rows: graph DFS order (single) vs position order (sharded)
-        // — the contract is record-set parity, so compare order-normalized.
-        let norm = |r: &crate::result::HuntResult| {
-            let mut rows = r.rows.clone();
-            rows.sort();
-            rows
-        };
-        assert_eq!(norm(&got), norm(&expected));
+        assert_eq!(got.rows, expected.rows);
+        assert_eq!(got.matches, expected.matches);
     }
 
     #[test]

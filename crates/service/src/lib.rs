@@ -35,9 +35,9 @@
 //!   server's slow-hunt log.
 //!
 //! Execution inside each job uses
-//! [`threatraptor_engine::ShardedEngine`], whose scatter-gather keeps
-//! *exact* result parity with single-store execution (fan-out happens at
-//! the data-query level; joins stay global).
+//! [`threatraptor_engine::ShardedEngine`], whose scatter-gather returns
+//! identical results for every shard count (fan-out happens at the
+//! data-query level; joins stay global).
 //!
 //! [`AuditStore`]: threatraptor_storage::AuditStore
 //! [`StreamingStore`]: threatraptor_storage::StreamingStore

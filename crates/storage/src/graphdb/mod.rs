@@ -1,13 +1,8 @@
 //! Embedded property-graph backend (the Neo4j stand-in).
 //!
 //! Entities are nodes and events are edges (§II-B). The graph keeps
-//! time-sorted adjacency lists per node, which [`PathQuery`] uses for
-//! variable-length path search — the compile target for TBQL's
-//! `proc p ~>(2~4)[read] file f` patterns.
-
-mod path;
-
-pub use path::{PathMatch, PathQuery};
+//! time-sorted outgoing adjacency lists per node, which the engine's path
+//! enumerator walks for TBQL's `proc p ~>(2~4)[read] file f` patterns.
 
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::{Event, EventId, Operation};
@@ -32,13 +27,12 @@ pub struct GraphEdge {
 }
 
 /// The property graph: nodes are entity ids `0..node_count`, edges are
-/// events, adjacency is sorted by edge start time.
+/// events, outgoing adjacency is sorted by edge start time.
 #[derive(Debug, Clone, Default)]
 pub struct GraphDb {
     node_count: usize,
     edges: Vec<GraphEdge>,
     out: Vec<Vec<usize>>,
-    inn: Vec<Vec<usize>>,
 }
 
 impl GraphDb {
@@ -46,7 +40,6 @@ impl GraphDb {
     pub fn build(node_count: usize, events: &[Event]) -> GraphDb {
         let mut edges = Vec::with_capacity(events.len());
         let mut out = vec![Vec::new(); node_count];
-        let mut inn = vec![Vec::new(); node_count];
         for (pos, ev) in events.iter().enumerate() {
             let edge_idx = edges.len();
             edges.push(GraphEdge {
@@ -59,17 +52,15 @@ impl GraphDb {
                 end: ev.end,
             });
             out[ev.subject.index()].push(edge_idx);
-            inn[ev.object.index()].push(edge_idx);
         }
         // Sort adjacency by start time for time-monotone traversal.
-        for adj in out.iter_mut().chain(inn.iter_mut()) {
+        for adj in &mut out {
             adj.sort_by_key(|&e| edges[e].start);
         }
         GraphDb {
             node_count,
             edges,
             out,
-            inn,
         }
     }
 
@@ -93,17 +84,6 @@ impl GraphDb {
     #[inline]
     pub fn out_edges(&self, node: EntityId) -> &[usize] {
         &self.out[node.index()]
-    }
-
-    /// Incoming edge indexes of a node, sorted by start time.
-    #[inline]
-    pub fn in_edges(&self, node: EntityId) -> &[usize] {
-        &self.inn[node.index()]
-    }
-
-    /// Out-degree of a node.
-    pub fn out_degree(&self, node: EntityId) -> usize {
-        self.out[node.index()].len()
     }
 }
 
@@ -143,14 +123,6 @@ mod tests {
             .map(|&e| g.edge(e).start)
             .collect();
         assert_eq!(out0, vec![50, 100]);
-        assert_eq!(g.out_degree(EntityId(0)), 2);
-        // In edges of node 1: events 2 (t=10) then 0 (t=100).
-        let in1: Vec<u32> = g
-            .in_edges(EntityId(1))
-            .iter()
-            .map(|&e| g.edge(e).event.0)
-            .collect();
-        assert_eq!(in1, vec![2, 0]);
         assert!(g.out_edges(EntityId(1)).is_empty());
     }
 

@@ -14,9 +14,8 @@
 //!   predicate AST with SQL `LIKE` semantics, and a select-project-join
 //!   executor with index selection ([`relational::SqlSelect`] renders to
 //!   SQL text for the conciseness experiment);
-//! * [`graphdb`] — a property graph over the same data with
-//!   variable-length path search (min/max hops, last-hop operation,
-//!   time-monotone traversal), the compile target for TBQL path patterns;
+//! * [`graphdb`] — a property graph over the same data, with
+//!   time-sorted out-edge lists the engine walks for TBQL path patterns;
 //! * [`cpr`] — Causality-Preserved Reduction (Xu et al., CCS'16), the
 //!   event-merging technique the paper applies to reduce data size;
 //! * [`store`] — [`store::AuditStore`], which ingests a parsed log into

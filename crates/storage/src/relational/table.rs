@@ -146,24 +146,24 @@ impl Table {
         self.btree_indexes.insert(col.to_string(), idx);
     }
 
-    /// Returns row ids whose `col` equals any of `values`, via the best
-    /// available index; `None` when no index exists on `col`.
-    pub fn index_lookup(&self, col: &str, values: &[Value]) -> Option<Vec<RowId>> {
+    /// Rows whose `col` equals `value`, borrowed from the best available
+    /// index; `None` when no index exists on `col`.
+    pub fn index_get(&self, col: &str, value: &Value) -> Option<&[RowId]> {
         if let Some(idx) = self.hash_indexes.get(col) {
-            let mut out = Vec::new();
-            for v in values {
-                out.extend_from_slice(idx.get(v));
-            }
-            return Some(out);
+            return Some(idx.get(value));
         }
-        if let Some(idx) = self.btree_indexes.get(col) {
-            let mut out = Vec::new();
-            for v in values {
-                out.extend_from_slice(idx.get(v));
-            }
-            return Some(out);
+        self.btree_indexes.get(col).map(|idx| idx.get(value))
+    }
+
+    /// Returns row ids whose `col` equals any of `values`, via the best
+    /// available index; `None` when no index exists on `col` (and
+    /// `values` is non-empty).
+    pub fn index_lookup(&self, col: &str, values: &[Value]) -> Option<Vec<RowId>> {
+        let mut out = Vec::new();
+        for v in values {
+            out.extend_from_slice(self.index_get(col, v)?);
         }
-        None
+        Some(out)
     }
 
     /// Returns row ids whose `col` lies in `[lo, hi]` via a B-tree index;

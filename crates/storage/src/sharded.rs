@@ -337,6 +337,26 @@ impl EventLookup for ShardedStore {
     fn entity(&self, id: EntityId) -> &Entity {
         ShardedStore::entity(self, id)
     }
+
+    fn shard_count(&self) -> usize {
+        ShardedStore::shard_count(self)
+    }
+
+    fn shard(&self, i: usize) -> &AuditStore {
+        ShardedStore::shard(self, i)
+    }
+
+    fn offset(&self, i: usize) -> usize {
+        ShardedStore::offset(self, i)
+    }
+
+    fn locate(&self, pos: usize) -> (usize, usize) {
+        ShardedStore::locate(self, pos)
+    }
+
+    fn entity_table(&self, name: &str) -> &Table {
+        ShardedStore::entity_table(self, name)
+    }
 }
 
 #[cfg(test)]

@@ -266,13 +266,12 @@ impl AuditStore {
     }
 }
 
-/// Position-addressed access to stored events and entities — the part of
-/// a store that result evaluation needs. Implemented by [`AuditStore`]
-/// (positions are table rows) and by
+/// Position-addressed access to stored events and entities, plus the
+/// shard layout behind the positions. Implemented by [`AuditStore`] (one
+/// shard at offset 0; positions are table rows) and by
 /// [`crate::sharded::ShardedStore`] (positions are global, spanning all
-/// shards), so [`HuntResult`]-style consumers work over either.
-///
-/// [`HuntResult`]: https://docs.rs/threatraptor-engine
+/// shards), so result evaluation and the execution engine work over
+/// either.
 pub trait EventLookup {
     /// Event stored at `pos`.
     fn event_at(&self, pos: usize) -> &Event;
@@ -282,6 +281,23 @@ pub trait EventLookup {
 
     /// Entity by id.
     fn entity(&self, id: EntityId) -> &Entity;
+
+    /// Number of shards (at least 1).
+    fn shard_count(&self) -> usize;
+
+    /// Shard `i`, holding positions `[offset(i), offset(i + 1))`.
+    fn shard(&self, i: usize) -> &AuditStore;
+
+    /// Global position of shard `i`'s first event; `offset(shard_count())`
+    /// is the total event count.
+    fn offset(&self, i: usize) -> usize;
+
+    /// Maps a global event position to `(shard index, local position)`.
+    fn locate(&self, pos: usize) -> (usize, usize);
+
+    /// The store-level entity table registered under `name` — the
+    /// authoritative table for resolving entity predicates.
+    fn entity_table(&self, name: &str) -> &Table;
 }
 
 impl EventLookup for AuditStore {
@@ -295,6 +311,32 @@ impl EventLookup for AuditStore {
 
     fn entity(&self, id: EntityId) -> &Entity {
         AuditStore::entity(self, id)
+    }
+
+    fn shard_count(&self) -> usize {
+        1
+    }
+
+    fn shard(&self, i: usize) -> &AuditStore {
+        assert_eq!(i, 0, "a single store is one shard");
+        self
+    }
+
+    fn offset(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.event_count()
+        }
+    }
+
+    fn locate(&self, pos: usize) -> (usize, usize) {
+        assert!(pos < self.event_count(), "event position out of range");
+        (0, pos)
+    }
+
+    fn entity_table(&self, name: &str) -> &Table {
+        self.db.table(name)
     }
 }
 

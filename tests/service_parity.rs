@@ -3,29 +3,18 @@
 //! concurrent-hunt smoke tests.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use threatraptor::prelude::*;
 use threatraptor_bench::all_cases;
 use threatraptor_service::{HuntJob, ServiceError};
 use threatraptor_storage::{AuditStore, ShardedStore};
 
-/// Order-normalized view of a hunt result: sorted projected rows plus the
-/// set of matched original event ids.
-fn normalized(
-    r: &HuntResult,
-    ids: BTreeSet<threatraptor::audit::event::EventId>,
-) -> (
-    Vec<Vec<String>>,
-    BTreeSet<threatraptor::audit::event::EventId>,
-) {
-    let mut rows = r.rows.clone();
-    rows.sort();
-    (rows, ids)
-}
+/// A path query broad enough to cross shard boundaries at every shard
+/// count: any 2–3 hop flow from a process ending in a file read.
+const BROAD_PATH_TBQL: &str = "proc p ~>(2~3)[read] file f return p, f";
 
 /// The core parity assertion: for one scenario seed and query, execution
-/// over `shards` shards returns exactly the records single-store
-/// execution returns.
+/// over `shards` shards returns exactly the rows, in the same order, and
+/// the matched events single-store execution returns.
 fn assert_parity(seed: u64, shards: usize, query: &str) {
     let sc = ScenarioBuilder::new()
         .seed(seed)
@@ -38,10 +27,9 @@ fn assert_parity(seed: u64, shards: usize, query: &str) {
     let expected = Engine::new(&single).hunt(query).expect("single store");
     let got = ShardedEngine::new(&sharded).hunt(query).expect("sharded");
 
-    let expected_norm = normalized(&expected, expected.matched_event_ids(&single));
-    let got_norm = normalized(&got, got.matched_event_ids(&sharded));
     assert_eq!(
-        got_norm, expected_norm,
+        (&got.rows, got.matched_event_ids(&sharded)),
+        (&expected.rows, expected.matched_event_ids(&single)),
         "sharded execution diverged (seed {seed}, {shards} shards)"
     );
 }
@@ -78,6 +66,44 @@ proptest! {
 fn fig2_parity_all_shard_counts() {
     for shards in [1, 2, 3, 7, 8, 16, 64] {
         assert_parity(42, shards, threatraptor::FIG2_TBQL);
+        assert_parity(42, shards, BROAD_PATH_TBQL);
+    }
+}
+
+/// Every reference case and the broad path query return identical rows
+/// and matches, in order, on 1, 4 and 32 shards under every execution
+/// mode.
+#[test]
+fn reference_cases_agree_across_shard_counts_and_modes() {
+    let sc = ScenarioBuilder::new()
+        .seed(7)
+        .attacks(&AttackKind::ALL)
+        .target_events(4_000)
+        .build();
+    let stores: Vec<ShardedStore> = [1, 4, 32]
+        .into_iter()
+        .map(|n| ShardedStore::ingest(&sc.log, true, n))
+        .collect();
+    let queries = all_cases()
+        .into_iter()
+        .map(|c| c.reference_tbql)
+        .chain([BROAD_PATH_TBQL]);
+    for q in queries {
+        let want = ShardedEngine::new(&stores[0]).hunt(q).unwrap();
+        assert!(!want.is_empty(), "{q}");
+        for store in &stores {
+            for mode in [
+                ExecMode::Scheduled,
+                ExecMode::Unscheduled,
+                ExecMode::RelationalOnly,
+                ExecMode::GraphOnly,
+            ] {
+                let got = ShardedEngine::new(store).hunt_mode(q, mode).unwrap();
+                let at = format!("{mode:?}, {} shards: {q}", store.shard_count());
+                assert_eq!(got.rows, want.rows, "{at}");
+                assert_eq!(got.matches, want.matches, "{at}");
+            }
+        }
     }
 }
 
